@@ -2,13 +2,13 @@
 // load stepped as a fraction of the 64-byte wire rate, in three receive
 // modes —
 //
-//   blocking:    the harness fabric on the mutex+condvar capture-queue
-//                pair (HandoffMode::kMutex): every chunk handoff pays
-//                the lock plus a condvar wakeup before the pkt_handler
-//                runs;
-//   nonblocking: the same fabric on the lock-free SPSC-ring/steal-inbox
-//                handoff (HandoffMode::kLockFree, the engine default) —
-//                no lock, no wakeup detour;
+//   blocking:    the harness fabric costed as a mutex+condvar capture
+//                queue: every chunk handoff pays the lock (150 ns of
+//                CostModel::handoff_cost) and the pkt_handler runs a
+//                2 us CostModel::consumer_wakeup_delay after the enqueue;
+//   nonblocking: the same fabric at the engine's default costs — the
+//                lock-free SPSC-ring handoff (25 ns), the data callback
+//                running in the enqueue's event, no wakeup detour;
 //   polling:     an application draining try_next_batch() on a fixed
 //                20 us timer regardless of arrivals, trading CPU for
 //                the poll-period latency floor.
@@ -76,16 +76,19 @@ trace::ConstantRateConfig traffic_at(double load) {
 }
 
 /// Blocking / nonblocking modes: the full Experiment harness
-/// (pkt_handler driven by batch delivery) over the selected capture-
-/// queue handoff — kMutex pays lock + condvar wakeup per chunk,
-/// kLockFree hands off through the SPSC ring.
-SweepPoint run_harness(std::string_view mode, HandoffMode handoff,
-                       double load, const apps::TelemetryFlags* flags) {
+/// (pkt_handler driven by batch delivery).  Blocking charges a mutex +
+/// condvar queue's costs — lock + notify per chunk, then the consumer's
+/// wakeup — on the engine's one handoff path.
+SweepPoint run_harness(std::string_view mode, bool blocking, double load,
+                       const apps::TelemetryFlags* flags) {
   apps::ExperimentConfig config;
   config.engine.kind = apps::EngineKind::kWirecapBasic;
   config.engine.cells_per_chunk = 64;
   config.engine.chunk_count = 64;
-  config.engine.handoff = handoff;
+  if (blocking) {
+    config.costs.handoff_cost = Nanos{150};
+    config.costs.consumer_wakeup_delay = Nanos::from_micros(2.0);
+  }
   config.num_queues = 1;
   config.x = 0;
   if (flags) flags->apply(config);
@@ -205,9 +208,9 @@ int run(const apps::TelemetryFlags& flags, const std::string& out_path,
     for (const double load : loads) {
       SweepPoint point;
       if (mode == "blocking") {
-        point = run_harness(mode, HandoffMode::kMutex, load, &flags);
+        point = run_harness(mode, /*blocking=*/true, load, &flags);
       } else if (mode == "nonblocking") {
-        point = run_harness(mode, HandoffMode::kLockFree, load, &flags);
+        point = run_harness(mode, /*blocking=*/false, load, &flags);
       } else {
         point = run_polling(load);
       }

@@ -22,7 +22,6 @@
 #include "bpf/codegen.hpp"
 #include "bpf/predecode.hpp"
 #include "bpf/vm.hpp"
-#include "common/spsc_queue.hpp"
 #include "driver/wirecap_driver.hpp"
 #include "engines/factory.hpp"
 #include "net/checksum.hpp"
@@ -39,17 +38,6 @@
 namespace {
 
 using namespace wirecap;
-
-void BM_SpscQueuePushPop(benchmark::State& state) {
-  SpscQueue<std::uint64_t> queue{1024};
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    queue.try_push(i++);
-    benchmark::DoNotOptimize(queue.try_pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscQueuePushPop);
 
 void BM_ToeplitzHash(benchmark::State& state) {
   net::FlowKey flow{net::Ipv4Addr{131, 225, 2, 1}, net::Ipv4Addr{10, 0, 0, 1},

@@ -14,6 +14,7 @@
 //     miss per wraparound instead of per operation.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -61,7 +62,9 @@ class SpscRing {
     }
     slots_[tail & mask_] = std::move(value);
     tail_.store(tail + 1, std::memory_order_release);
-    return {PushResult::kOk, depth_after(tail + 1)};
+    // A consumer on another thread may pop the element before the head
+    // sample below; the depth this push created still included it.
+    return {PushResult::kOk, std::max<std::size_t>(depth_after(tail + 1), 1)};
   }
 
   /// Consumer side.

@@ -60,39 +60,18 @@ void WirecapEngine::open(std::uint32_t queue, sim::SimCore& /*app_core*/) {
       credit_charged(meta.ring_id, 1);
     }
   };
-  if (qs.capture_queue) {
-    while (auto meta = qs.capture_queue->try_pop()) recycle_stale(*meta);
-  }
   if (qs.capture_ring) {
     driver::ChunkMeta meta;
     while (qs.capture_ring->try_pop(meta)) recycle_stale(meta);
-  }
-  if (qs.steal_inbox) {
-    driver::ChunkMeta meta;
     while (qs.steal_inbox->try_claim(meta)) recycle_stale(meta);
-  }
-  if (qs.recycle_queue) {
-    while (auto meta = qs.recycle_queue->try_pop()) recycle_stale(*meta);
+    while (auto stale = qs.recycle_queue->try_pop()) recycle_stale(*stale);
   }
 
-  if (config_.handoff == HandoffMode::kLockFree) {
-    // The SPSC ring carries only this queue's own chunks (buddies
-    // deposit into the inbox instead), so R slots always suffice.
-    qs.capture_ring =
-        std::make_unique<SpscRing<driver::ChunkMeta>>(config_.chunk_count);
-    qs.steal_inbox = std::make_unique<StealInbox<driver::ChunkMeta>>();
-    qs.capture_queue.reset();
-  } else {
-    // MPMC capture queues may receive chunks from every buddy, so size
-    // them for the whole NIC's chunk population.
-    const std::size_t capacity =
-        static_cast<std::size_t>(config_.chunk_count) *
-        nic_.config().num_rx_queues;
-    qs.capture_queue =
-        std::make_unique<MpmcQueue<driver::ChunkMeta>>(capacity);
-    qs.capture_ring.reset();
-    qs.steal_inbox.reset();
-  }
+  // The SPSC ring carries only this queue's own chunks (buddies deposit
+  // into the inbox instead), so R slots always suffice.
+  qs.capture_ring =
+      std::make_unique<SpscRing<driver::ChunkMeta>>(config_.chunk_count);
+  qs.steal_inbox = std::make_unique<StealInbox<driver::ChunkMeta>>();
   qs.recycle_queue = std::make_unique<MpmcQueue<driver::ChunkMeta>>(
       config_.chunk_count);
 
@@ -131,16 +110,10 @@ void WirecapEngine::close(std::uint32_t queue) {
     }
     credit_charged(meta.ring_id, 1);
   };
-  if (qs.capture_queue) {
-    while (auto meta = qs.capture_queue->try_pop()) recycle_to_owner(*meta);
-  }
-  if (qs.capture_ring) {
+  {
     driver::ChunkMeta meta;
     while (qs.capture_ring->try_pop(meta)) recycle_to_owner(meta);
-  }
-  if (qs.steal_inbox) {
     // Buddies' deposits we never claimed go home to their pools.
-    driver::ChunkMeta meta;
     while (qs.steal_inbox->try_claim(meta)) recycle_to_owner(meta);
   }
   for (const driver::ChunkMeta& meta : qs.pending) recycle_to_owner(meta);
@@ -149,10 +122,9 @@ void WirecapEngine::close(std::uint32_t queue) {
 
   // Chunks this ring offloaded to buddies that are still queued (or
   // being read) over there reference the pool being torn down: pull
-  // them back and recycle them before it disappears.  In lock-free mode
-  // offloads only ever sit in buddies' steal inboxes (their SPSC rings
-  // carry nothing but their own chunks); in mutex mode they sit in
-  // buddies' MPMC capture queues.
+  // them back and recycle them before it disappears.  Offloads only ever
+  // sit in buddies' steal inboxes (their SPSC rings carry nothing but
+  // their own chunks).
   for (QueueState& other : queues_) {
     if (&other == &qs) continue;
     if (other.steal_inbox) {
@@ -168,21 +140,6 @@ void WirecapEngine::close(std::uint32_t queue) {
       using Inbox = StealInbox<driver::ChunkMeta>;
       for (const driver::ChunkMeta& keep : kept) {
         if (other.steal_inbox->try_deposit(keep) != Inbox::Deposit::kOk) {
-          throw std::logic_error("WirecapEngine: close sweep lost a chunk");
-        }
-      }
-    }
-    if (other.capture_queue) {
-      std::deque<driver::ChunkMeta> kept;
-      while (auto meta = other.capture_queue->try_pop()) {
-        if (meta->ring_id == queue) {
-          recycle_to_owner(*meta);
-        } else {
-          kept.push_back(*meta);
-        }
-      }
-      for (const driver::ChunkMeta& meta : kept) {
-        if (!other.capture_queue->try_push(meta)) {
           throw std::logic_error("WirecapEngine: close sweep lost a chunk");
         }
       }
@@ -221,8 +178,8 @@ void WirecapEngine::drop_current(QueueState& qs) {
 
 engines::TenantId WirecapEngine::register_tenant(
     const engines::TenantSpec& spec) {
-  // The old set_buddy_group contract, preserved: grouped queues must be
-  // open (out-of-range ids surface as std::out_of_range from at()).
+  // Grouped queues must be open (out-of-range ids surface as
+  // std::out_of_range from at()).
   for (const std::uint32_t q : spec.queues) {
     if (!queues_.at(q).open) {
       throw std::logic_error("WirecapEngine: buddy queue not open");
@@ -232,18 +189,6 @@ engines::TenantId WirecapEngine::register_tenant(
   rebuild_tenant_wiring();
   bind_tenant_telemetry(id);
   return id;
-}
-
-void WirecapEngine::set_buddy_group(const std::vector<std::uint32_t>& queues) {
-  if (queues.empty()) return;  // the old call was a no-op on an empty group
-  engines::TenantSpec spec;
-  spec.queues = queues;
-  // Keyed on the lowest member so repeated calls over an evolving group
-  // upsert one tenant, while disjoint groups registered by separate
-  // calls coexist — both idioms the old API supported.
-  spec.name = "legacy-q" + std::to_string(*std::min_element(queues.begin(),
-                                                            queues.end()));
-  register_tenant(spec);
 }
 
 void WirecapEngine::rebuild_tenant_wiring() {
@@ -423,9 +368,7 @@ void WirecapEngine::poll(std::uint32_t queue) {
 Nanos WirecapEngine::dispatch(std::uint32_t queue,
                               const driver::ChunkMeta& meta) {
   QueueState& qs = queues_[queue];
-  const bool lockfree = config_.handoff == HandoffMode::kLockFree;
-  Nanos handoff_cost =
-      lockfree ? costs_.lockfree_handoff_cost : costs_.mutex_handoff_cost;
+  Nanos handoff_cost = costs_.handoff_cost;
   std::uint32_t target = queue;
 
   // A queue's load toward the threshold T is its capture-queue depth
@@ -494,41 +437,25 @@ Nanos WirecapEngine::dispatch(std::uint32_t queue,
   }
 
   // Remote placement never blocks and never parks: a steal deposit
-  // (lock-free) or a closed/full-aware push (mutex) either lands the
-  // chunk or the loser falls home in one step.  Only the home queue may
-  // park a chunk in `pending` — backpressure there is real (the one
-  // bound consumer is behind), whereas a closed or contended buddy is
-  // not a reason to hold the chunk hostage.
-  std::size_t depth_at_push = 0;
-  bool depth_known = false;
+  // either lands the chunk or the loser falls home in one step.  Only
+  // the home queue may park a chunk in `pending` — backpressure there is
+  // real (the one bound consumer is behind), whereas a full or contended
+  // buddy inbox is not a reason to hold the chunk hostage.
   if (target != queue) {
     bool placed = false;
-    QueueState& ts = queues_[target];
-    if (lockfree) {
-      using Inbox = StealInbox<driver::ChunkMeta>;
-      switch (ts.steal_inbox->try_deposit(meta)) {
-        case Inbox::Deposit::kOk:
-          placed = true;
-          ++ts.extra.handoff_steals;
-          break;
-        case Inbox::Deposit::kContended:
-          // Lost the CAS race against another depositor mid-slot: the
-          // loser falls home rather than spinning on the buddy.
-          ++qs.extra.handoff_contended;
-          break;
-        case Inbox::Deposit::kFull:
-          break;
-      }
-    } else {
-      const PushOutcome outcome = ts.capture_queue->push_result(meta);
-      placed = outcome.ok();
-      if (placed) {
-        depth_at_push = outcome.depth;
-        depth_known = true;
-      }
-      // kFull and kClosed both fall home immediately; kClosed in
-      // particular must not reach `pending`, where it would inflate
-      // pending_high_water waiting for backpressure that never clears.
+    using Inbox = StealInbox<driver::ChunkMeta>;
+    switch (queues_[target].steal_inbox->try_deposit(meta)) {
+      case Inbox::Deposit::kOk:
+        placed = true;
+        ++queues_[target].extra.handoff_steals;
+        break;
+      case Inbox::Deposit::kContended:
+        // Lost the CAS race against another depositor mid-slot: the
+        // loser falls home rather than spinning on the buddy.
+        ++qs.extra.handoff_contended;
+        break;
+      case Inbox::Deposit::kFull:
+        break;
     }
     if (!placed) {
       ++qs.extra.handoff_fallbacks;
@@ -537,9 +464,7 @@ Nanos WirecapEngine::dispatch(std::uint32_t queue,
   }
 
   if (target == queue) {
-    const PushOutcome outcome = lockfree
-                                    ? qs.capture_ring->try_push(meta)
-                                    : qs.capture_queue->push_result(meta);
+    const PushOutcome outcome = qs.capture_ring->try_push(meta);
     if (!outcome.ok()) {
       // Nowhere to put it: hold the chunk; backpressure will show up as
       // pool exhaustion and, eventually, capture drops at the NIC.
@@ -549,8 +474,13 @@ Nanos WirecapEngine::dispatch(std::uint32_t queue,
                    static_cast<std::uint64_t>(qs.pending.size()));
       return handoff_cost;
     }
-    depth_at_push = outcome.depth;
-    depth_known = true;
+    // High-water from the depth the push itself observed — a second
+    // size() read can race a concurrent consumer and miss the peak this
+    // push created.  (Steal deposits have no ordered depth; the owner's
+    // drain and the sampler cover the inbox's ≤8 slots.)
+    qs.extra.capture_queue_high_water =
+        std::max(qs.extra.capture_queue_high_water,
+                 static_cast<std::uint64_t>(outcome.depth));
   }
 
   if (latency_ && latency_->enabled()) [[unlikely]] {
@@ -575,24 +505,15 @@ Nanos WirecapEngine::dispatch(std::uint32_t queue,
                           "to_queue", target, "chunk", meta.chunk_id));
   }
   QueueState& ts = queues_[target];
-  // High-water from the depth the push itself observed — a second
-  // size() read here can race a concurrent consumer and miss the peak
-  // this push created.  (Steal deposits have no ordered depth; the
-  // owner's drain and the sampler cover the inbox's ≤8 slots.)
-  if (depth_known) {
-    ts.extra.capture_queue_high_water =
-        std::max(ts.extra.capture_queue_high_water,
-                 static_cast<std::uint64_t>(depth_at_push));
-  }
   if (ts.data_callback) {
-    if (lockfree) {
-      // Non-blocking mode: the consumer is poll-driven; kicking it is a
-      // plain call in virtual time.
+    if (costs_.consumer_wakeup_delay == Nanos::zero()) {
+      // Non-blocking consumer: poll-driven, so kicking it is a plain
+      // call in virtual time.
       ts.data_callback();
     } else {
-      // Blocking mode: the consumer sleeps on the condvar, so delivery
-      // pays the futex wake + scheduler dispatch before it runs.
-      scheduler_.schedule_after(costs_.condvar_wakeup_delay, [this, target] {
+      // Blocking consumer: it sleeps until notified, so delivery pays
+      // the wake + scheduler dispatch before it runs.
+      scheduler_.schedule_after(costs_.consumer_wakeup_delay, [this, target] {
         QueueState& sleeper = queues_[target];
         if (sleeper.open && sleeper.data_callback) sleeper.data_callback();
       });
@@ -602,42 +523,27 @@ Nanos WirecapEngine::dispatch(std::uint32_t queue,
 }
 
 std::optional<driver::ChunkMeta> WirecapEngine::pop_capture(QueueState& qs) {
-  if (qs.capture_ring) {
-    // Own traffic first (the SPSC fast path), then offloads buddies
-    // deposited: claiming a ready slot is the consumer half of the
-    // work-stealing handoff.
-    driver::ChunkMeta meta;
-    if (qs.capture_ring->try_pop(meta)) return meta;
-    if (qs.steal_inbox && qs.steal_inbox->try_claim(meta)) return meta;
-    return std::nullopt;
-  }
-  return qs.capture_queue ? qs.capture_queue->try_pop() : std::nullopt;
+  if (!qs.capture_ring) return std::nullopt;
+  // Own traffic first (the SPSC fast path), then offloads buddies
+  // deposited: claiming a ready slot is the consumer half of the
+  // work-stealing handoff.
+  driver::ChunkMeta meta;
+  if (qs.capture_ring->try_pop(meta)) return meta;
+  if (qs.steal_inbox->try_claim(meta)) return meta;
+  return std::nullopt;
 }
 
 std::size_t WirecapEngine::capture_depth(const QueueState& qs) const {
-  if (qs.capture_ring) {
-    return qs.capture_ring->size() +
-           (qs.steal_inbox ? qs.steal_inbox->size_approx() : 0);
-  }
-  return qs.capture_queue ? qs.capture_queue->size() : 0;
+  if (!qs.capture_ring) return 0;
+  return qs.capture_ring->size() + qs.steal_inbox->size_approx();
 }
 
 std::vector<driver::ChunkMeta> WirecapEngine::capture_metas(
     const QueueState& qs) const {
-  std::vector<driver::ChunkMeta> metas;
-  if (qs.capture_ring) {
-    metas = qs.capture_ring->snapshot();
-    if (qs.steal_inbox) {
-      for (const driver::ChunkMeta& meta : qs.steal_inbox->snapshot()) {
-        metas.push_back(meta);
-      }
-    }
-    return metas;
-  }
-  if (qs.capture_queue) {
-    for (const driver::ChunkMeta& meta : qs.capture_queue->snapshot()) {
-      metas.push_back(meta);
-    }
+  if (!qs.capture_ring) return {};
+  std::vector<driver::ChunkMeta> metas = qs.capture_ring->snapshot();
+  for (const driver::ChunkMeta& meta : qs.steal_inbox->snapshot()) {
+    metas.push_back(meta);
   }
   return metas;
 }
@@ -1125,8 +1031,7 @@ void WirecapEngine::bind_queue_telemetry(std::uint32_t queue) {
     return qs.extra.pending_high_water;
   });
   registry.bind_counter(qp + "polls", [&qs] { return qs.extra.polls; });
-  // Work-stealing handoff outcomes (lock-free mode; fallbacks also
-  // count mutex-mode remote pushes refused as full/closed).
+  // Work-stealing handoff outcomes.
   registry.bind_counter(qp + "handoff.steals",
                         [&qs] { return qs.extra.handoff_steals; });
   registry.bind_counter(qp + "handoff.contended",

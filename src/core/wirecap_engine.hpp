@@ -57,14 +57,6 @@ struct WirecapConfig {
   std::size_t max_chunks_per_capture = 16;
   /// Offload target selection (ablation; default is the paper's).
   OffloadPolicy offload_policy = OffloadPolicy::kLeastBusy;
-  /// Capture-queue handoff implementation.  kLockFree (default) pairs a
-  /// per-queue SpscRing (driver dispatch → the one bound app thread)
-  /// with a StealInbox for buddy offloads, so dispatch never takes a
-  /// lock.  kMutex keeps the MpmcQueue work-queue pair — required for
-  /// the §5e shared-queue paradigm (several app threads on one queue)
-  /// and the blocking-capture baseline.  The pool free-list (recycle
-  /// queue) stays an MpmcQueue in both modes: any app thread recycles.
-  HandoffMode handoff = HandoffMode::kLockFree;
   /// NUMA node the NIC's DMA engine writes into (two-socket boxes).
   std::uint32_t nic_numa_node = 0;
   /// Per-queue NUMA placement of each queue's capture thread and ring
@@ -115,16 +107,8 @@ class WirecapEngine final : public engines::CaptureEngine {
   /// offloading never crosses tenants), applies the spec's quota and
   /// per-tenant policy/threshold/NUMA overrides to the member queues,
   /// and releases queues the spec claims from any previous owner.
-  /// Member queues must already be open (std::logic_error otherwise —
-  /// the old set_buddy_group contract).
+  /// Member queues must already be open (std::logic_error otherwise).
   engines::TenantId register_tenant(const engines::TenantSpec& spec) override;
-
-  /// Deprecated single-application shim: forwards to register_tenant()
-  /// with a spec named after the group's lowest queue id, no quota and
-  /// no overrides — behaviorally identical (byte-identical dispatch) to
-  /// the pre-tenant API.  Distinct groups registered through repeated
-  /// calls coexist as distinct tenants.  Prefer register_tenant().
-  void set_buddy_group(const std::vector<std::uint32_t>& queues);
 
   /// Quota-side account of `tenant` (charged captured chunks, quota,
   /// capture polls skipped at quota).
@@ -277,12 +261,12 @@ class WirecapEngine final : public engines::CaptureEngine {
     std::uint64_t epoch = 0;
     std::unique_ptr<driver::WirecapQueueDriver> driver;
     std::unique_ptr<sim::SimCore> capture_core;
-    /// Mutex mode only: the MPMC capture queue (null in lock-free mode).
-    std::unique_ptr<MpmcQueue<driver::ChunkMeta>> capture_queue;
-    /// Lock-free mode only: the SPSC fast path (home dispatch → app
-    /// thread) and the inbox buddies deposit offloaded chunks into.
+    /// The capture side of the work-queue pair: the SPSC fast path
+    /// (home dispatch → the one bound app thread) and the inbox buddies
+    /// deposit offloaded chunks into, so dispatch never takes a lock.
     std::unique_ptr<SpscRing<driver::ChunkMeta>> capture_ring;
     std::unique_ptr<StealInbox<driver::ChunkMeta>> steal_inbox;
+    /// The pool free-list: any app thread may recycle, so it stays MPMC.
     std::unique_ptr<MpmcQueue<driver::ChunkMeta>> recycle_queue;
     std::deque<driver::ChunkMeta> pending;  // couldn't be enqueued yet
     std::vector<std::uint32_t> buddies;
@@ -354,16 +338,18 @@ class WirecapEngine final : public engines::CaptureEngine {
   void poll(std::uint32_t queue);
   /// Places a captured chunk on a capture queue per the offloading
   /// policy; on failure parks it in `pending`.  Returns the modeled
-  /// handoff cost the capture thread paid (cheap atomics in lock-free
-  /// mode, lock+notify in mutex mode) for poll() to accumulate.
+  /// handoff cost the capture thread paid (CostModel::handoff_cost plus
+  /// any cross-socket penalty) for poll() to accumulate.  The data
+  /// callback runs inline, or CostModel::consumer_wakeup_delay later
+  /// when that models a blocking consumer.
   Nanos dispatch(std::uint32_t queue, const driver::ChunkMeta& meta);
-  /// Pops the next chunk bound for `qs`'s application: the SPSC ring
-  /// then the steal inbox in lock-free mode, the MPMC queue otherwise.
+  /// Pops the next chunk bound for `qs`'s application: the SPSC ring,
+  /// then the steal inbox.
   std::optional<driver::ChunkMeta> pop_capture(QueueState& qs);
-  /// Mode-aware capture-side depth (ring + inbox, or MPMC queue).
+  /// Capture-side depth (ring + inbox).
   [[nodiscard]] std::size_t capture_depth(const QueueState& qs) const;
-  /// Mode-aware snapshot of every chunk queued toward `qs`'s
-  /// application (census / quiesced introspection only).
+  /// Snapshot of every chunk queued toward `qs`'s application (census /
+  /// quiesced introspection only).
   [[nodiscard]] std::vector<driver::ChunkMeta> capture_metas(
       const QueueState& qs) const;
   void release_ref(std::uint32_t queue, std::uint64_t handle,

@@ -78,18 +78,19 @@ struct CostModel {
   /// full chunk (also the blocking-capture timeout granularity).
   Nanos capture_poll_interval = Nanos::from_micros(50);
 
-  /// Placing one chunk's metadata on a mutex+condvar capture queue:
-  /// lock acquire, push, unlock, notify under light contention.
-  Nanos mutex_handoff_cost = Nanos{150};
+  /// Capture-thread cost of placing one chunk's metadata on a capture
+  /// queue.  The default is the lock-free SPSC ring / steal inbox: a
+  /// couple of uncontended atomics, no syscall, no futex.  A mutex +
+  /// condvar queue (lock, push, unlock, notify under light contention)
+  /// costs ~150 ns.
+  Nanos handoff_cost = Nanos{25};
 
-  /// Placing one chunk's metadata on the lock-free SPSC ring or steal
-  /// inbox: a couple of uncontended atomics, no syscall, no futex.
-  Nanos lockfree_handoff_cost = Nanos{25};
-
-  /// Delay between a condvar notify and the blocked application thread
-  /// actually running (futex wake + scheduler dispatch) — the queue-wait
-  /// latency the lock-free path's poll-driven delivery avoids.
-  Nanos condvar_wakeup_delay = Nanos::from_micros(2.0);
+  /// Delay between an enqueue and the application's data callback
+  /// running.  0 (the default) is a poll-driven, non-blocking consumer:
+  /// the callback runs in the enqueue's event.  A positive value models
+  /// a consumer blocked on a condvar, which pays the futex wake +
+  /// scheduler dispatch (~2 µs) before it runs.
+  Nanos consumer_wakeup_delay = Nanos::zero();
 
   /// Timeout after which a partially-filled chunk is copied out rather
   /// than held in the ring (the paper's "avoids holding packets in the

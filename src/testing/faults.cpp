@@ -144,7 +144,6 @@ FaultHarness::FaultHarness(FaultHarnessConfig config)
   engine_config.cells_per_chunk = config_.cells_per_chunk;
   engine_config.chunk_count = config_.chunk_count;
   engine_config.cell_size = 2048;
-  engine_config.handoff = config_.handoff;
   if (config_.advanced_mode && queues > 1) {
     engine_config.offload_threshold = 0.5;
   }

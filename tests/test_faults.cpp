@@ -459,8 +459,8 @@ TEST(FaultHarness, FlightRecorderCapturesSlowDrainOutliers) {
 // schedules (>= 100 seeds) ---
 
 TEST(FaultSoak, ConservationHoldsAcross100Seeds) {
-  // Default harness config: the lock-free SPSC-ring + steal-inbox
-  // handoff, so every adversity hammers the fast path.
+  // The engine's one handoff — SPSC ring + steal inbox — under every
+  // adversity.
   const SoakResult soak = run_fault_soak(1, 100);
   EXPECT_EQ(soak.seeds_run, 100u);
   EXPECT_EQ(soak.total_violations, 0u)
@@ -539,20 +539,6 @@ TEST(FaultSoak, TenantFaultsNeverReduceNeighborDelivery) {
     victim_delivered += hit.tenant_delivered[1];
   }
   EXPECT_GT(victim_delivered, 0u);
-}
-
-TEST(FaultSoak, ConservationHoldsWithMutexHandoff) {
-  // The blocking MpmcQueue pair stays supported (§5e shared-queue
-  // paradigm); it must satisfy the same conservation law under faults.
-  FaultHarnessConfig base;
-  base.handoff = HandoffMode::kMutex;
-  const SoakResult soak = run_fault_soak(1, 100, base);
-  EXPECT_EQ(soak.seeds_run, 100u);
-  EXPECT_EQ(soak.total_violations, 0u)
-      << (soak.failures.empty() ? "" : soak.failures.front());
-  EXPECT_EQ(soak.seeds_clean, soak.seeds_run);
-  EXPECT_GT(soak.total_delivered, 0u);
-  EXPECT_GT(soak.total_reopens, 0u);
 }
 
 }  // namespace
