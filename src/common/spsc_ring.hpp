@@ -45,14 +45,13 @@ class SpscRing {
 
   [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
 
-  /// Producer side.  Never blocks; reports the depth observed right
-  /// after publication (includes the pushed element), which is what
-  /// high-water accounting must record — a later size() call can race
-  /// the consumer and miss the peak this push created.
+  /// Producer side.  Never blocks and fails only with kFull (the ring
+  /// has no closed state: its owner replaces it on reopen).  Reports
+  /// the depth observed right after publication (includes the pushed
+  /// element), which is what high-water accounting must record — a
+  /// later size() call can race the consumer and miss the peak this
+  /// push created.
   PushOutcome try_push(T value) {
-    if (closed_.load(std::memory_order_acquire)) {
-      return {PushResult::kClosed, depth_after(tail_.load(std::memory_order_relaxed))};
-    }
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_cache_ > mask_) {
       head_cache_ = head_.load(std::memory_order_acquire);
@@ -109,13 +108,6 @@ class SpscRing {
 
   [[nodiscard]] bool empty() const { return size() == 0; }
 
-  void close() { closed_.store(true, std::memory_order_release); }
-  [[nodiscard]] bool closed() const {
-    return closed_.load(std::memory_order_acquire);
-  }
-  /// Reopens a drained ring (close/reopen fault plans reuse the ring).
-  void reopen() { closed_.store(false, std::memory_order_release); }
-
   /// Copies the current [head, tail) contents.  Only meaningful when
   /// both sides are quiesced (census / close-time sweeps); the engine
   /// runs single-threaded in virtual time, so that always holds there.
@@ -145,8 +137,6 @@ class SpscRing {
   // Consumer-owned line: head counter plus the cached producer tail.
   alignas(64) std::atomic<std::uint64_t> head_{0};
   std::uint64_t tail_cache_ = 0;
-  // Rarely written; keep it off both hot lines.
-  alignas(64) std::atomic<bool> closed_{false};
 };
 
 }  // namespace wirecap

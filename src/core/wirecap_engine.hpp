@@ -24,6 +24,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -128,14 +129,19 @@ class WirecapEngine final : public engines::CaptureEngine {
   void close(std::uint32_t queue) override;
   std::optional<engines::CaptureView> try_next(std::uint32_t queue) override;
   void done(std::uint32_t queue, const engines::CaptureView& view) override;
-  /// Chunk-native handoff: pops one ChunkMeta off the capture queue and
-  /// serves views of all its cells without copying — the spool consumes
-  /// whole chunks exactly as the capture ioctl produced them.  If the
-  /// application left a chunk partially read via try_next(), its
-  /// remaining packets form the returned chunk (so the two read APIs
-  /// compose).  `max_packets` is ignored: the chunk size is M.
+  /// Chunk-native handoff: serves views of every remaining cell of the
+  /// queue's current chunk without copying — the spool consumes whole
+  /// chunks exactly as the capture ioctl produced them.  If the
+  /// application left a chunk partially read via try_next() or
+  /// try_next_batch(), its remaining packets form the returned chunk
+  /// (the three read APIs compose).  `max_packets` is ignored: the
+  /// chunk size is M.
   std::optional<engines::ChunkCaptureView> try_next_chunk(
       std::uint32_t queue, std::size_t max_packets = 64) override;
+  /// Releases a chunk's views with one deref_n per run of same-chunk
+  /// views (done_batch()'s fallback), not one done() per packet.
+  void done_chunk(std::uint32_t queue,
+                  const engines::ChunkCaptureView& chunk) override;
   /// Batch-native handoff: serves up to `max_packets` views of the
   /// queue's current chunk metadata-only (chunk == batch when
   /// `max_packets` >= M) and bumps `delivered` once per batch.  A batch
@@ -343,6 +349,18 @@ class WirecapEngine final : public engines::CaptureEngine {
   /// callback runs inline, or CostModel::consumer_wakeup_delay later
   /// when that models a blocking consumer.
   Nanos dispatch(std::uint32_t queue, const driver::ChunkMeta& meta);
+  /// The one dequeue prologue of every read: returns `queue`'s current
+  /// (partially read) chunk, or claims the next captured one — SPSC
+  /// ring, then steal inbox — registering its refcount and stamping the
+  /// dequeue.  Null when the queue is closed or nothing is queued.
+  CurrentChunk* claim_current(std::uint32_t queue);
+  /// The one view fill of every read: fills `views` from the current
+  /// chunk's next views.size() cells (never more than remain), advances
+  /// the cursor, retires an exhausted chunk and bumps `delivered` once.
+  void fill_views(QueueState& qs, std::span<engines::CaptureView> views);
+  /// Releases views in runs of consecutive same-chunk handles, one
+  /// deref_n per run.
+  void release_runs(std::span<const engines::CaptureView> views);
   /// Pops the next chunk bound for `qs`'s application: the SPSC ring,
   /// then the steal inbox.
   std::optional<driver::ChunkMeta> pop_capture(QueueState& qs);
@@ -356,7 +374,7 @@ class WirecapEngine final : public engines::CaptureEngine {
                    std::uint32_t count) override;
   void deref(std::uint64_t key) { deref_n(key, 1); }
   /// Drops `count` references of the chunk behind `key` in one step —
-  /// the done_batch() fast path.
+  /// the done_batch()/done_chunk() fast path.
   void deref_n(std::uint64_t key, std::uint32_t count);
   /// Forgets a queue's partially-read current chunk: releases the
   /// undelivered packets' share of its refcount (close-time teardown).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace wirecap::engines {
 
@@ -60,14 +61,11 @@ TenantId CaptureEngine::tenant_of(std::uint32_t queue) const {
 
 std::optional<ChunkCaptureView> CaptureEngine::try_next_chunk(
     std::uint32_t queue, std::size_t max_packets) {
+  PacketBatch batch;
+  if (try_next_batch(queue, max_packets, batch) == 0) return std::nullopt;
   ChunkCaptureView chunk;
-  chunk.source_ring = queue;
-  while (chunk.packets.size() < max_packets) {
-    auto view = try_next(queue);
-    if (!view) break;
-    chunk.packets.push_back(*view);
-  }
-  if (chunk.packets.empty()) return std::nullopt;
+  chunk.packets = std::move(batch.views);
+  chunk.source_ring = batch.source_ring;
   return chunk;
 }
 

@@ -85,9 +85,10 @@ class CaptureEngine {
 
   /// Non-blocking read of the next whole chunk of `queue` for
   /// chunk-granularity consumers.  The base implementation synthesizes a
-  /// pseudo-chunk by draining up to `max_packets` try_next() views, so
-  /// every engine can feed the spool; chunk-native engines (WireCAP)
-  /// override it to hand over one ring-buffer-pool chunk zero-copy.
+  /// pseudo-chunk from one try_next_batch() of up to `max_packets`
+  /// views, so every engine can feed the spool through its one native
+  /// read; chunk-native engines (WireCAP) override it to hand over one
+  /// ring-buffer-pool chunk zero-copy.
   virtual std::optional<ChunkCaptureView> try_next_chunk(
       std::uint32_t queue, std::size_t max_packets = 64);
 

@@ -9,6 +9,7 @@ PsioeEngine::PsioeEngine(nic::MultiQueueNic& nic, PsioeConfig config)
                               2048}),
       config_(config) {
   user_buffers_.resize(nic.config().num_rx_queues);
+  singles_.resize(nic.config().num_rx_queues);
   copies_.resize(nic.config().num_rx_queues, 0);
 }
 
@@ -20,19 +21,9 @@ void PsioeEngine::open(std::uint32_t queue, sim::SimCore& app_core) {
 void PsioeEngine::close(std::uint32_t queue) { inner_.close(queue); }
 
 std::optional<CaptureView> PsioeEngine::try_next(std::uint32_t queue) {
-  auto view = inner_.try_next(queue);
-  if (!view) return std::nullopt;
-  // Copy into the user buffer and release the ring buffer right away:
-  // the application works from its own memory from here on.
-  auto& staging = user_buffers_.at(queue);
-  const std::size_t n = std::min(view->bytes.size(), staging.size());
-  std::copy_n(view->bytes.begin(), n, staging.begin());
-  ++copies_.at(queue);
-  inner_.done(queue, *view);
-  CaptureView out = *view;
-  out.bytes = {staging.data(), n};
-  out.handle = 0;
-  return out;
+  PacketBatch& single = singles_.at(queue);
+  if (try_next_batch(queue, 1, single) == 0) return std::nullopt;
+  return single.views.front();
 }
 
 void PsioeEngine::done(std::uint32_t /*queue*/, const CaptureView& /*view*/) {
@@ -50,6 +41,8 @@ std::size_t PsioeEngine::try_next_batch(std::uint32_t queue,
     staging.resize(max_packets * slot_bytes);
   }
   while (batch.views.size() < max_packets) {
+    // Copy into the user buffer and release the ring buffer right away:
+    // the application works from its own memory from here on.
     auto view = inner_.try_next(queue);
     if (!view) break;
     const std::size_t offset = batch.views.size() * slot_bytes;

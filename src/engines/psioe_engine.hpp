@@ -29,15 +29,17 @@ class PsioeEngine final : public CaptureEngine {
 
   void open(std::uint32_t queue, sim::SimCore& app_core) override;
   void close(std::uint32_t queue) override;
+  /// A batch of one: the view aliases the first staging slot.
   std::optional<CaptureView> try_next(std::uint32_t queue) override;
   void done(std::uint32_t queue, const CaptureView& view) override;
-  /// PSIOE copies bursts "to a consecutive user-level buffer"
-  /// (PacketShader's chunk): the batch read carves the staging buffer
-  /// into one user_buffer_bytes slot per packet so every view of the
-  /// batch has distinct storage (the base adapter would alias them all
-  /// to the single per-packet slot).  Views are valid until the next
-  /// batch is pulled; done()/done_batch() remain no-ops because the
-  /// ring buffers were released at copy time.
+  /// PSIOE's one native read.  PSIOE copies bursts "to a consecutive
+  /// user-level buffer" (PacketShader's chunk): the batch read carves
+  /// the staging buffer into one user_buffer_bytes slot per packet so
+  /// every view of the batch has distinct storage.  try_next() and the
+  /// base try_next_chunk() adapt this read, so packet, chunk and batch
+  /// views alike are valid only until the next pull on the queue;
+  /// done()/done_chunk()/done_batch() are no-ops because the ring
+  /// buffers were released at copy time.
   std::size_t try_next_batch(std::uint32_t queue, std::size_t max_packets,
                              PacketBatch& batch) override;
   bool forward(std::uint32_t queue, const CaptureView& view,
@@ -54,6 +56,9 @@ class PsioeEngine final : public CaptureEngine {
   /// Per-queue staging buffer in "user space"; the packet is copied here
   /// and the ring buffer released immediately.
   std::vector<std::vector<std::byte>> user_buffers_;
+  /// Per-queue batch-of-one scratch for try_next(), reused so the
+  /// per-packet read allocates nothing in steady state.
+  std::vector<PacketBatch> singles_;
   std::vector<std::uint64_t> copies_;
 };
 

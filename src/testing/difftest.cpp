@@ -826,8 +826,9 @@ BatchEquivalenceResult run_batch_equivalence(
 
   Xoshiro256 adversity{config.seed ^ 0x9e3779b97f4a7c15ULL};
 
+  enum class Drain { kPacket, kBatch, kChunk };
   const auto run_path = [&](const std::string& factory_name,
-                            bool batched) -> PathOutcome {
+                            Drain drain) -> PathOutcome {
     PathOutcome out;
     sim::Scheduler scheduler;
     sim::IoBus bus{scheduler};
@@ -871,7 +872,7 @@ BatchEquivalenceResult run_batch_equivalence(
     while (idle_rounds < 2) {
       scheduler.run_until(scheduler.now() + Nanos::from_millis(5));
       std::size_t drained = 0;
-      if (batched) {
+      if (drain == Drain::kBatch) {
         for (;;) {
           std::size_t limit = max_batch;
           if (config.adversarial) {
@@ -895,6 +896,17 @@ BatchEquivalenceResult run_batch_equivalence(
           }
         }
         release_held();
+      } else if (drain == Drain::kChunk) {
+        // Record only once the whole chunk is read, so views that alias
+        // one another (a copying engine reusing one staging slot) show.
+        while (const auto chunk = engine->try_next_chunk(0, max_batch)) {
+          ++out.batches;
+          drained += chunk->packets.size();
+          for (const engines::CaptureView& view : chunk->packets) {
+            record(view, pre.run(view.bytes, view.wire_len) != 0);
+          }
+          engine->done_chunk(0, *chunk);
+        }
       } else {
         while (const auto view = engine->try_next(0)) {
           ++drained;
@@ -918,13 +930,15 @@ BatchEquivalenceResult run_batch_equivalence(
                                            {"PSIOE", "PSIOE"},
                                            {"WireCAP", "WireCAP-B"}}};
   for (const Entry& entry : kEngines) {
-    const PathOutcome scalar = run_path(entry.factory, /*batched=*/false);
-    const PathOutcome batched = run_path(entry.factory, /*batched=*/true);
+    const PathOutcome scalar = run_path(entry.factory, Drain::kPacket);
+    const PathOutcome batched = run_path(entry.factory, Drain::kBatch);
+    const PathOutcome chunked = run_path(entry.factory, Drain::kChunk);
 
     BatchEquivalenceResult::PerEngine per;
     per.name = entry.display;
     per.packets = batched.deliveries.size();
     per.batches = batched.batches;
+    per.chunks = chunked.batches;
 
     if (scalar.deliveries.size() != labeled.frames.size()) {
       result.problems.push_back(
@@ -932,38 +946,42 @@ BatchEquivalenceResult run_batch_equivalence(
           std::to_string(scalar.deliveries.size()) + " of " +
           std::to_string(labeled.frames.size()));
     }
-    if (batched.deliveries.size() != scalar.deliveries.size()) {
-      result.problems.push_back(
-          per.name + ": batched path delivered " +
-          std::to_string(batched.deliveries.size()) + " vs per-packet " +
-          std::to_string(scalar.deliveries.size()));
-    }
-    const std::size_t common =
-        std::min(scalar.deliveries.size(), batched.deliveries.size());
-    for (std::size_t i = 0; i < common; ++i) {
-      const Delivery& a = scalar.deliveries[i];
-      const Delivery& b = batched.deliveries[i];
-      if (a.seq != b.seq) {
-        result.problems.push_back(per.name + ": delivery " +
-                                  std::to_string(i) + " seq " +
-                                  std::to_string(a.seq) + " vs " +
-                                  std::to_string(b.seq));
-        break;  // misalignment cascades; report the first
+    const auto compare = [&](const PathOutcome& other, const char* path) {
+      if (other.deliveries.size() != scalar.deliveries.size()) {
+        result.problems.push_back(
+            per.name + ": " + path + " path delivered " +
+            std::to_string(other.deliveries.size()) + " vs per-packet " +
+            std::to_string(scalar.deliveries.size()));
       }
-      if (a.wire_len != b.wire_len || a.bytes != b.bytes) {
-        result.problems.push_back(per.name + ": delivery " +
-                                  std::to_string(i) + " (seq " +
-                                  std::to_string(a.seq) +
-                                  ") differs between paths");
+      const std::size_t common =
+          std::min(scalar.deliveries.size(), other.deliveries.size());
+      for (std::size_t i = 0; i < common; ++i) {
+        const Delivery& a = scalar.deliveries[i];
+        const Delivery& b = other.deliveries[i];
+        if (a.seq != b.seq) {
+          result.problems.push_back(per.name + ": " + path + " delivery " +
+                                    std::to_string(i) + " seq " +
+                                    std::to_string(a.seq) + " vs " +
+                                    std::to_string(b.seq));
+          break;  // misalignment cascades; report the first
+        }
+        if (a.wire_len != b.wire_len || a.bytes != b.bytes) {
+          result.problems.push_back(per.name + ": " + path + " delivery " +
+                                    std::to_string(i) + " (seq " +
+                                    std::to_string(a.seq) +
+                                    ") differs from per-packet");
+        }
+        if (a.matched != b.matched) {
+          result.problems.push_back(per.name + ": seq " +
+                                    std::to_string(a.seq) +
+                                    " filter verdict differs (per-packet=" +
+                                    std::to_string(a.matched) + " " + path +
+                                    "=" + std::to_string(b.matched) + ")");
+        }
       }
-      if (a.matched != b.matched) {
-        result.problems.push_back(per.name + ": seq " +
-                                  std::to_string(a.seq) +
-                                  " filter verdict differs (per-packet=" +
-                                  std::to_string(a.matched) + " batched=" +
-                                  std::to_string(b.matched) + ")");
-      }
-    }
+    };
+    compare(batched, "batched");
+    compare(chunked, "chunk");
 
     std::set<std::uint32_t> matched;
     for (const Delivery& d : batched.deliveries) {

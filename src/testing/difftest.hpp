@@ -197,6 +197,7 @@ struct BatchEquivalenceResult {
     std::string name;
     std::uint64_t packets = 0;   // delivered on each path
     std::uint64_t batches = 0;   // try_next_batch pulls that returned >0
+    std::uint64_t chunks = 0;    // try_next_chunk pulls that returned a chunk
     std::uint64_t matched = 0;   // filter matches (identical both paths)
   };
   std::string filter;
@@ -207,11 +208,13 @@ struct BatchEquivalenceResult {
 };
 
 /// Tier 2b: for each of the five engines, replays one generated traffic
-/// set through two identical fabrics — one drained packet-at-a-time
-/// (try_next / done, filter via Predecoded::run) and one drained in
-/// batches (try_next_batch / done_batch, filter via run_batch) — and
-/// asserts the two paths produce byte-identical (seq, bytes, wire_len)
-/// streams and identical match sets, both equal to the eval oracle.
+/// set through three identical fabrics — one drained packet-at-a-time
+/// (try_next / done, filter via Predecoded::run), one drained in
+/// batches (try_next_batch / done_batch, filter via run_batch) and one
+/// drained in chunks (try_next_chunk / done_chunk, bytes recorded after
+/// the whole chunk is read) — and asserts all three paths produce
+/// byte-identical (seq, bytes, wire_len) streams and identical match
+/// sets, equal to the eval oracle.
 [[nodiscard]] BatchEquivalenceResult run_batch_equivalence(
     const BatchEquivalenceConfig& config);
 

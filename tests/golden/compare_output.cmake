@@ -1,7 +1,17 @@
-# Runs BENCH with --out=OUT and byte-compares OUT with GOLDEN.
-#   cmake -DBENCH=<binary> -DOUT=<file> -DGOLDEN=<file> -P compare_output.cmake
-execute_process(COMMAND ${BENCH} --out=${OUT}
-                RESULT_VARIABLE bench_rc OUTPUT_QUIET)
+# Runs BENCH and byte-compares its output with GOLDEN: the file it
+# writes with --out=OUT when OUT is given, otherwise its stdout (kept
+# as <golden name>.actual in the working directory on a mismatch).
+#   cmake -DBENCH=<binary> [-DOUT=<file>] -DGOLDEN=<file> -P compare_output.cmake
+if(DEFINED OUT)
+  execute_process(COMMAND ${BENCH} --out=${OUT}
+                  RESULT_VARIABLE bench_rc OUTPUT_QUIET)
+else()
+  execute_process(COMMAND ${BENCH}
+                  RESULT_VARIABLE bench_rc OUTPUT_VARIABLE bench_stdout)
+  get_filename_component(golden_name ${GOLDEN} NAME)
+  set(OUT ${CMAKE_CURRENT_BINARY_DIR}/${golden_name}.actual)
+  file(WRITE ${OUT} "${bench_stdout}")
+endif()
 if(NOT bench_rc EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with ${bench_rc}")
 endif()

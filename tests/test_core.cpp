@@ -2,12 +2,15 @@
 // burst absorption proportional to R*M, R/M interchangeability (the
 // Figure 10 property), zero-copy delivery, end-of-burst flush via the
 // partial-rescue timeout, advanced-mode buddy offloading, chunk
-// conservation, and zero-copy forwarding.
+// conservation, zero-copy forwarding, and the packet/chunk/batch reads
+// sharing one chunk cursor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "apps/harness.hpp"
 #include "core/wirecap_engine.hpp"
@@ -372,6 +375,48 @@ TEST(WirecapDispatch, InboxFullFallsHomeWithoutParking) {
   EXPECT_EQ(engine.extra_stats(0).pending_high_water, 0u);
   // Depth-at-push high water: home kept 9 + the fallbacks.
   EXPECT_GE(engine.extra_stats(0).capture_queue_high_water, 20u);
+}
+
+TEST(WirecapRead, MixedReadsShareOneChunkCursor) {
+  // The three read APIs drain one cursor: a packet read, then a chunk
+  // read of the rest of that chunk, then a batch read of the next chunk.
+  core::WirecapConfig config;
+  config.cells_per_chunk = 8;
+  config.chunk_count = 16;
+  DispatchFabric fabric{config, 1, {}};
+  fabric.inject_chunks(0, 2);
+  fabric.run(Nanos::from_millis(1));
+  core::WirecapEngine& engine = fabric.engine();
+
+  const auto view = engine.try_next(0);
+  ASSERT_TRUE(view.has_value());
+  const auto chunk = engine.try_next_chunk(0);
+  ASSERT_TRUE(chunk.has_value());
+  EXPECT_EQ(chunk->packets.size(), 7u);  // the rest of the first chunk
+  engines::PacketBatch batch;
+  EXPECT_EQ(engine.try_next_batch(0, 64, batch), 8u);  // the second chunk
+  EXPECT_FALSE(engine.try_next(0).has_value());
+
+  std::vector<std::uint64_t> seqs{view->seq};
+  for (const auto& v : chunk->packets) seqs.push_back(v.seq);
+  for (const auto& v : batch.views) seqs.push_back(v.seq);
+  ASSERT_EQ(seqs.size(), 16u);
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    EXPECT_EQ(seqs[i], i) << "contiguous, no duplicates";
+  }
+  EXPECT_EQ(engine.queue_stats(0).delivered, seqs.size());
+
+  engine.done(0, *view);
+  engine.done_chunk(0, *chunk);
+  engine.done_batch(0, batch);
+  // The first chunk's last reference went with done_chunk(): releasing
+  // it again is a double release.
+  EXPECT_THROW(engine.done_chunk(0, *chunk), std::logic_error);
+
+  // The next capture poll drains the recycle queue back into the pool.
+  fabric.run(Nanos::from_millis(2));
+  EXPECT_EQ(engine.pool(0).state_counts().captured, 0u);
+  EXPECT_EQ(engine.captured_census(0).total(), 0u);
 }
 
 TEST(WirecapDispatch, ConsumerWakeupDelayDefersDataCallback) {

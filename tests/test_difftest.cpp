@@ -445,7 +445,7 @@ TEST(EngineCrosscheck, GeneratedFilterAgreesAcrossAllEngines) {
   EXPECT_TRUE(result.clean());
 }
 
-// --- tier 2b: batched vs per-packet delivery equivalence ---
+// --- tier 2b: batched and chunk vs per-packet delivery equivalence ---
 
 TEST(BatchEquivalence, PathsAgreeOnGeneratedTraffic) {
   BatchEquivalenceConfig config;
@@ -458,6 +458,9 @@ TEST(BatchEquivalence, PathsAgreeOnGeneratedTraffic) {
     // The batched path actually batched: far fewer pulls than packets.
     EXPECT_GT(e.batches, 0u) << e.name;
     EXPECT_LT(e.batches, e.packets) << e.name;
+    // So did the chunk path.
+    EXPECT_GT(e.chunks, 0u) << e.name;
+    EXPECT_LT(e.chunks, e.packets) << e.name;
   }
 }
 
