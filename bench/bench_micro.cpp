@@ -153,6 +153,43 @@ void BM_SchedulerEventChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerEventChurn);
 
+/// The shape of the NIC DMA-completion and traffic-injector events: the
+/// callback carries a WirePacket by value and schedules its successor
+/// while it runs.
+struct PacketEvent {
+  sim::Scheduler* scheduler;
+  net::WirePacket packet;
+  std::uint64_t* bytes;
+  std::int64_t n;
+
+  void operator()() const {
+    *bytes += packet.wire_len();
+    // A spread of delays keeps the heap order non-trivial.
+    const Nanos delay{1 + (n * 7919) % 1000};
+    scheduler->schedule_after(delay,
+                              PacketEvent{scheduler, packet, bytes, n + 1});
+  }
+};
+
+void BM_SchedulerPacketChurn(benchmark::State& state) {
+  // ~1k events stay pending; each step runs one and schedules one.
+  constexpr std::int64_t kPending = 1000;
+  sim::Scheduler scheduler;
+  const net::WirePacket packet = net::WirePacket::make(
+      Nanos::zero(),
+      net::FlowKey{net::Ipv4Addr{10, 0, 0, 1}, net::Ipv4Addr{10, 0, 0, 2}, 1,
+                   2, net::IpProto::kUdp},
+      64);
+  std::uint64_t bytes = 0;
+  for (std::int64_t i = 0; i < kPending; ++i) {
+    scheduler.schedule_at(Nanos{i}, PacketEvent{&scheduler, packet, &bytes, i});
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(scheduler.step());
+  benchmark::DoNotOptimize(bytes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SchedulerPacketChurn);
+
 void BM_ChunkCaptureRecycle(benchmark::State& state) {
   // The full driver round-trip: M packets DMA'd, chunk captured to user
   // space (metadata only) and recycled.

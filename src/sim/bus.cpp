@@ -9,7 +9,7 @@ namespace wirecap::sim {
 IoBus::IoBus(Scheduler& scheduler, Rate capacity)
     : scheduler_(scheduler), capacity_(capacity) {}
 
-void IoBus::issue(double transactions, std::function<void()> done) {
+void IoBus::issue(double transactions, Scheduler::Callback done) {
   if (transactions < 0.0) {
     throw std::invalid_argument("IoBus: negative transaction count");
   }

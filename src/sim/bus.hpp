@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/units.hpp"
 #include "sim/scheduler.hpp"
@@ -34,7 +33,7 @@ class IoBus {
   /// updates amortized over a chunk).  `done` fires when the last one has
   /// crossed the bus — synchronously inside this call when the bus is
   /// unconstrained, via the scheduler otherwise.  FIFO service discipline.
-  void issue(double transactions, std::function<void()> done);
+  void issue(double transactions, Scheduler::Callback done);
 
   /// Virtual time at which the bus becomes free.
   [[nodiscard]] Nanos busy_until() const { return busy_until_; }

@@ -209,6 +209,24 @@ FaultHarness::FaultHarness(FaultHarnessConfig config)
 
 FaultHarness::~FaultHarness() = default;
 
+void FaultHarness::close_queue(std::uint32_t queue, int retries) {
+  if (!queue_open_[queue]) return;
+  if (nic_->rx_ring(queue).dma_in_flight() && retries > 0) {
+    scheduler_.schedule_after(kDmaSettle, [this, queue, retries] {
+      close_queue(queue, retries - 1);
+    });
+    return;
+  }
+  // Spooled chunks of this ring reference its pool cells: pull them out
+  // of every shard queue (and our held lists) before the pool is torn
+  // down.
+  evict_ring_from_spool(queue);
+  engine_->close(queue);
+  queue_open_[queue] = false;
+  ++reopens_;
+  scheduler_.schedule_after(kReopenDelay, [this, queue] { open_queue(queue); });
+}
+
 void FaultHarness::open_queue(std::uint32_t queue) {
   engine_->open(queue, *app_cores_[queue]);
   queue_open_[queue] = true;
@@ -476,26 +494,8 @@ void FaultHarness::apply(const FaultEvent& event) {
       if (!queue_open_[event.queue]) break;
       const std::uint32_t queue = event.queue;
       // Closing needs a quiesced ring: retry past in-flight DMA.
-      auto attempt = std::make_shared<std::function<void(int)>>();
-      *attempt = [this, queue, attempt](int retries) {
-        if (!queue_open_[queue]) return;
-        if (nic_->rx_ring(queue).dma_in_flight() && retries > 0) {
-          scheduler_.schedule_after(
-              kDmaSettle, [attempt, retries] { (*attempt)(retries - 1); });
-          return;
-        }
-        // Spooled chunks of this ring reference its pool cells: pull
-        // them out of every shard queue (and our held lists) before the
-        // pool is torn down.
-        evict_ring_from_spool(queue);
-        engine_->close(queue);
-        queue_open_[queue] = false;
-        ++reopens_;
-        scheduler_.schedule_after(kReopenDelay,
-                                  [this, queue] { open_queue(queue); });
-      };
-      scheduler_.schedule_after(kDmaSettle,
-                                [attempt] { (*attempt)(kCloseRetries); });
+      scheduler_.schedule_after(
+          kDmaSettle, [this, queue] { close_queue(queue, kCloseRetries); });
       break;
     }
     case FaultKind::kSlowDisk:

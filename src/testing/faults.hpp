@@ -231,6 +231,9 @@ class FaultHarness {
   };
 
   void open_queue(std::uint32_t queue);
+  /// Closes `queue` once its ring is quiesced, retrying every kDmaSettle
+  /// while DMA is in flight and `retries` remain; reopens it later.
+  void close_queue(std::uint32_t queue, int retries);
   void rebind_buddies();
   /// The contiguous-slice tenant partition (matches the registration in
   /// rebind_buddies and the tenant_delivered aggregation).

@@ -57,6 +57,136 @@ TEST(Scheduler, CancellationPreventsExecution) {
   EXPECT_EQ(fired, 0);
 }
 
+TEST(Scheduler, RunUntilDoesNotRunPastDeadlineAfterCancelled) {
+  // A cancelled event at the head of the queue must not let run_until
+  // reach past it to a live event beyond the deadline.
+  Scheduler scheduler;
+  int fired = 0;
+  EventHandle early = scheduler.schedule_at(Nanos{10}, [&] { ++fired; });
+  scheduler.schedule_at(Nanos{200}, [&] { ++fired; });
+  early.cancel();
+  EXPECT_EQ(scheduler.run_until(Nanos{100}), 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(scheduler.now(), Nanos{100});
+  EXPECT_EQ(scheduler.run_until(Nanos{200}), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Scheduler, RunUntilCountsExcludeCancelled) {
+  Scheduler scheduler;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 6; ++i) {
+    handles.push_back(scheduler.schedule_at(Nanos{10 * (i + 1)}, [] {}));
+  }
+  handles[0].cancel();
+  handles[3].cancel();
+  handles[5].cancel();
+  EXPECT_EQ(scheduler.run_until(Nanos{60}), 3u);
+  EXPECT_TRUE(scheduler.empty());
+  EXPECT_EQ(scheduler.run(), 0u);
+}
+
+TEST(Scheduler, PendingIsFalseAfterFiring) {
+  Scheduler scheduler;
+  bool saw_pending_inside = true;
+  EventHandle handle;
+  handle = scheduler.schedule_at(
+      Nanos{10}, [&] { saw_pending_inside = handle.pending(); });
+  EXPECT_TRUE(handle.pending());
+  EXPECT_TRUE(scheduler.step());
+  EXPECT_FALSE(saw_pending_inside);  // already fired while it runs
+  EXPECT_FALSE(handle.pending());
+}
+
+TEST(Scheduler, StaleHandleDoesNotTouchSlotReuser) {
+  Scheduler scheduler;
+  int first = 0;
+  int second = 0;
+  EventHandle stale = scheduler.schedule_at(Nanos{10}, [&] { ++first; });
+  EXPECT_EQ(scheduler.run(), 1u);
+  // Fired: cancelling the stale handle is a no-op.
+  stale.cancel();
+  EXPECT_FALSE(stale.pending());
+
+  // The pool holds one free slot, so the next event reuses it.
+  EventHandle fresh = scheduler.schedule_at(Nanos{20}, [&] { ++second; });
+  EXPECT_TRUE(fresh.pending());
+  EXPECT_FALSE(stale.pending());
+  stale.cancel();
+  EXPECT_TRUE(fresh.pending());
+  EXPECT_EQ(scheduler.run(), 1u);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+}
+
+TEST(Scheduler, CancelledHandleDoesNotTouchSlotReuser) {
+  Scheduler scheduler;
+  int fired = 0;
+  EventHandle cancelled = scheduler.schedule_at(Nanos{10}, [&] { fired += 1; });
+  cancelled.cancel();
+  EXPECT_FALSE(scheduler.step());  // pops the cancelled key, frees its slot
+  EventHandle fresh = scheduler.schedule_at(Nanos{20}, [&] { fired += 10; });
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_TRUE(fresh.pending());
+  scheduler.run();
+  EXPECT_EQ(fired, 10);
+}
+
+TEST(Scheduler, CancelIsIdempotentAndSafeOnDefaultHandle) {
+  Scheduler scheduler;
+  EventHandle none;
+  EXPECT_FALSE(none.pending());
+  none.cancel();
+  none.cancel();
+
+  int fired = 0;
+  EventHandle handle = scheduler.schedule_at(Nanos{10}, [&] { ++fired; });
+  scheduler.schedule_at(Nanos{20}, [&] { ++fired; });
+  handle.cancel();
+  handle.cancel();
+  EXPECT_EQ(scheduler.pending_events(), 2u);  // cancelled key not yet reached
+  EXPECT_EQ(scheduler.run(), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Scheduler, CallbackMayCancelAndSchedule) {
+  Scheduler scheduler;
+  std::vector<int> order;
+  EventHandle victim = scheduler.schedule_at(Nanos{30}, [&] {
+    order.push_back(-1);
+  });
+  scheduler.schedule_at(Nanos{10}, [&] {
+    order.push_back(1);
+    victim.cancel();
+    // Scheduled while running: lands between the two original events.
+    scheduler.schedule_at(Nanos{20}, [&] { order.push_back(2); });
+    scheduler.schedule_at(Nanos{40}, [&] { order.push_back(4); });
+  });
+  scheduler.schedule_at(Nanos{35}, [&] { order.push_back(3); });
+  EXPECT_EQ(scheduler.run(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_FALSE(victim.pending());
+}
+
+TEST(Scheduler, TiesKeepInsertionOrderAcrossSlotReuse) {
+  Scheduler scheduler;
+  std::vector<int> order;
+  // Free a few slots in scrambled order so later events reuse them.
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 4; ++i) {
+    handles.push_back(scheduler.schedule_at(Nanos{5}, [] {}));
+  }
+  handles[2].cancel();
+  handles[0].cancel();
+  scheduler.run();
+  for (int i = 0; i < 8; ++i) {
+    scheduler.schedule_at(Nanos{100}, [&, i] { order.push_back(i); });
+  }
+  scheduler.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(Scheduler, CallbackMaySchedule) {
   Scheduler scheduler;
   int chain = 0;
