@@ -190,8 +190,6 @@ void Experiment::bind_telemetry() {
   if (config_.telemetry.latency) {
     telemetry_.latency.set_outlier_threshold(
         config_.telemetry.latency_outlier_threshold);
-    telemetry_.latency.set_recorder_capacity(
-        config_.telemetry.flight_recorder_capacity);
     telemetry_.latency.set_enabled(true);
   }
 

@@ -1021,19 +1021,12 @@ void WirecapEngine::bind_queue_telemetry(std::uint32_t queue) {
                    {"capture", Stage::kCapture},
                    {"queue_wait", Stage::kQueueWait},
                    {"deliver", Stage::kDeliver}};
-    static constexpr struct {
-      const char* name;
-      double q;
-    } kQuantiles[] = {
-        {"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}, {"p999", 0.999}};
     for (const auto& stage : kStages) {
-      for (const auto& quantile : kQuantiles) {
-        registry.bind_gauge(
-            qp + "latency." + stage.name + "." + quantile.name,
-            [this, queue, stage = stage.stage, q = quantile.q] {
-              return telemetry_->latency.stage_quantile(queue, stage, q);
-            });
-      }
+      telemetry::bind_quantile_gauges(
+          registry, qp + "latency." + stage.name,
+          [this, queue, stage = stage.stage](double q) {
+            return telemetry_->latency.stage_quantile(queue, stage, q);
+          });
     }
   }
   if (qs.driver) {

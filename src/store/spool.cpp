@@ -494,17 +494,9 @@ void Spool::bind_telemetry(telemetry::Telemetry& telemetry,
     registry.bind_gauge(sp + "backlog", [shard] {
       return static_cast<double>(shard->backlog());
     });
-    static constexpr struct {
-      const char* name;
-      double q;
-    } kQuantiles[] = {
-        {"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}, {"p999", 0.999}};
-    for (const auto& quantile : kQuantiles) {
-      registry.bind_gauge(sp + "drain_latency." + quantile.name,
-                          [shard, q = quantile.q] {
-                            return shard->drain_latency().quantile(q);
-                          });
-    }
+    telemetry::bind_quantile_gauges(
+        registry, sp + "drain_latency",
+        [shard](double q) { return shard->drain_latency().quantile(q); });
   }
 }
 

@@ -33,9 +33,11 @@ double HdrHistogram::quantile(double q) const {
     if (counts_[i] == 0) continue;
     const double next = cumulative + static_cast<double>(counts_[i]);
     if (next >= target) {
+      const double lo = static_cast<double>(bucket_floor(i));
+      // A width-1 bucket holds exactly one value: nothing to interpolate.
+      if (i < kSubBuckets) return lo;
       const double within =
           (target - cumulative) / static_cast<double>(counts_[i]);
-      const double lo = static_cast<double>(bucket_floor(i));
       const double hi =
           std::min(lo + static_cast<double>(bucket_width(i)),
                    static_cast<double>(max_) + 1.0);
@@ -63,12 +65,6 @@ void HdrHistogram::reset() {
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}
-
-void FlightRecorder::set_capacity(std::size_t capacity) {
-  ring_.assign(capacity == 0 ? 1 : capacity, ChunkJourney{});
-  head_ = 0;
-  size_ = 0;
-}
 
 void FlightRecorder::push(const ChunkJourney& journey) {
   ring_[head_] = journey;

@@ -36,9 +36,10 @@ namespace wirecap::telemetry {
 ///
 /// Layout: indices [0, 32) hold values 0..31 exactly; above that each
 /// octave `o` (values [2^o, 2^(o+1))) is split into 32 linear
-/// sub-buckets of width 2^(o-5).  Recording, like Log2Histogram, is a
-/// handful of bit operations; quantiles interpolate uniformly within
-/// the hit bucket.
+/// sub-buckets of width 2^(o-5).  Recording is a handful of bit
+/// operations; quantiles interpolate uniformly within the hit bucket.
+/// This is the reproduction's only distribution type: benches record
+/// into it and the registry publishes it as quantile gauges.
 class HdrHistogram {
  public:
   static constexpr std::uint32_t kSubBucketBits = 5;
@@ -58,8 +59,9 @@ class HdrHistogram {
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] std::uint64_t max_value() const { return max_; }
 
-  /// Value at quantile q in [0, 1], interpolated within the bucket.
-  /// Mirrors Log2Histogram::quantile; returns 0 on an empty histogram.
+  /// Value at quantile q in [0, 1]: exact below 32, otherwise
+  /// interpolated within the bucket, whose top is clipped at
+  /// max_value() + 1.  Returns 0 on an empty histogram.
   [[nodiscard]] double quantile(double q) const;
 
   void merge(const HdrHistogram& other);
@@ -131,7 +133,6 @@ class FlightRecorder {
 
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-  void set_capacity(std::size_t capacity);
   void set_threshold(Nanos threshold) { threshold_ = threshold; }
   [[nodiscard]] Nanos threshold() const { return threshold_; }
 
@@ -180,9 +181,6 @@ class LatencyTracker {
 
   void set_outlier_threshold(Nanos threshold) {
     recorder_.set_threshold(threshold);
-  }
-  void set_recorder_capacity(std::size_t capacity) {
-    recorder_.set_capacity(capacity);
   }
 
   /// Folds a completed journey into the owning ring's histograms and

@@ -1,9 +1,14 @@
 # Runs BENCH and byte-compares its output with GOLDEN: the file it
-# writes with --out=OUT when OUT is given, otherwise its stdout (kept
-# as <golden name>.actual in the working directory on a mismatch).
-#   cmake -DBENCH=<binary> [-DOUT=<file>] -DGOLDEN=<file> -P compare_output.cmake
+# writes with FLAG=OUT when OUT is given (FLAG defaults to --out),
+# otherwise its stdout (kept as <golden name>.actual in the working
+# directory on a mismatch).
+#   cmake -DBENCH=<binary> [-DOUT=<file> [-DFLAG=<flag>]] -DGOLDEN=<file>
+#         -P compare_output.cmake
+if(NOT DEFINED FLAG)
+  set(FLAG --out)
+endif()
 if(DEFINED OUT)
-  execute_process(COMMAND ${BENCH} --out=${OUT}
+  execute_process(COMMAND ${BENCH} ${FLAG}=${OUT}
                   RESULT_VARIABLE bench_rc OUTPUT_QUIET)
 else()
   execute_process(COMMAND ${BENCH}

@@ -750,6 +750,48 @@ TEST_F(StoreTest, ExperimentSpoolRoundTrip) {
   EXPECT_EQ(seen.size(), 5'000u);
 }
 
+TEST_F(StoreTest, DrainLatencyGaugesMatchShardHistograms) {
+  apps::ExperimentConfig config;
+  config.engine.kind = apps::EngineKind::kWirecapBasic;
+  config.engine.cells_per_chunk = 16;
+  config.engine.chunk_count = 64;
+  config.num_queues = 2;
+  config.ring_size = 256;
+  SpoolConfig spool_config;
+  spool_config.dir = dir_;
+  config.spool = spool_config;
+  apps::Experiment experiment{config};
+
+  trace::ConstantRateConfig trace_config;
+  trace_config.packet_count = 4'000;
+  trace_config.link_bits_per_second = 1e9;
+  Xoshiro256 rng{0xD12A};
+  trace_config.flows = {trace::flow_for_queue(rng, 0, 2),
+                        trace::flow_for_queue(rng, 1, 2)};
+  trace::ConstantRateSource source{trace_config};
+  experiment.run(source, Nanos::from_seconds(1.0));
+
+  const auto& entries = experiment.telemetry().registry.entries();
+  ASSERT_EQ(experiment.spool()->num_shards(), 2u);
+  for (std::uint32_t n = 0; n < 2; ++n) {
+    const auto& latency = experiment.spool()->shard(n).drain_latency();
+    EXPECT_GT(latency.count(), 0u) << "shard " << n;
+    for (const auto& [suffix, q] : {std::pair{"p50", 0.5},
+                                    {"p90", 0.9},
+                                    {"p99", 0.99},
+                                    {"p999", 0.999}}) {
+      const std::string name = "store.shard" + std::to_string(n) +
+                               ".drain_latency." + suffix;
+      const auto it = entries.find(name);
+      ASSERT_NE(it, entries.end()) << name;
+      EXPECT_EQ(it->second.kind, telemetry::MetricKind::kGauge) << name;
+      EXPECT_EQ(telemetry::MetricRegistry::gauge_value(it->second),
+                latency.quantile(q))
+          << name;
+    }
+  }
+}
+
 TEST_F(StoreTest, SpoolBacklogFeedsOffloadDecision) {
   // Advanced engine, two queues, one flooded queue whose shard disk is
   // 50x slow: the spool backlog must push its buddy-group fill over T

@@ -153,14 +153,43 @@ TEST(MetricRegistry, OwnedGetOrCreateSharesTheCell) {
 TEST(MetricRegistry, KindCollisionThrows) {
   MetricRegistry registry;
   registry.counter("x");
-  EXPECT_THROW(registry.gauge("x"), std::logic_error);
-  EXPECT_THROW(registry.histogram("x"), std::logic_error);
   EXPECT_THROW(registry.bind_gauge("x", [] { return 0.0; }),
+               std::logic_error);
+  EXPECT_THROW(registry.bind_series("x", nullptr), std::logic_error);
+  EXPECT_THROW(registry.bind_counter("x", [] { return 1u; }),
                std::logic_error);
   // Same name + same kind is fine (bound source replaced).
   registry.bind_counter("y", [] { return 1u; });
   registry.bind_counter("y", [] { return 2u; });
   EXPECT_EQ(MetricRegistry::counter_value(registry.entries().at("y")), 2u);
+}
+
+TEST(MetricRegistry, QuantileGaugesReadTheDistribution) {
+  MetricRegistry registry;
+  telemetry::HdrHistogram hist;
+  for (std::int64_t v = 1; v <= 1000; ++v) hist.record(v);
+  telemetry::bind_quantile_gauges(registry, "a.latency", [&hist](double q) {
+    return hist.quantile(q);
+  });
+  std::vector<std::string> names;
+  for (const auto& [name, entry] : registry.entries()) {
+    EXPECT_EQ(entry.kind, telemetry::MetricKind::kGauge) << name;
+    names.push_back(name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"a.latency.p50", "a.latency.p90",
+                                             "a.latency.p99",
+                                             "a.latency.p999"}));
+  for (const auto& [suffix, q] :
+       {std::pair{"p50", 0.5}, {"p90", 0.9}, {"p99", 0.99}, {"p999", 0.999}}) {
+    EXPECT_EQ(MetricRegistry::gauge_value(
+                  registry.entries().at(std::string{"a.latency."} + suffix)),
+              hist.quantile(q))
+        << suffix;
+  }
+  // Gauges read the histogram live, not a snapshot taken at bind time.
+  hist.reset();
+  EXPECT_EQ(MetricRegistry::gauge_value(registry.entries().at("a.latency.p50")),
+            0.0);
 }
 
 TEST(MetricRegistry, EmptyNameThrows) {
@@ -237,10 +266,15 @@ TEST(HdrHistogram, SmallValuesLandInExactBuckets) {
   }
   EXPECT_EQ(hist.count(), 32u);
   EXPECT_EQ(hist.max_value(), 31u);
-  // Below 32 every bucket is width 1, so quantiles are exact (up to the
-  // in-bucket interpolation, which stays inside the 1-wide bucket).
-  EXPECT_NEAR(hist.quantile(0.5), 16.0, 1.0);
-  EXPECT_NEAR(hist.quantile(1.0), 31.0, 1.0);
+  // Below 32 every bucket is width 1 and holds one value, so quantiles
+  // are exact nearest-rank values: rank ceil(0.5 * 32) = 16 is 15.
+  EXPECT_EQ(hist.quantile(0.5), 15.0);
+  EXPECT_EQ(hist.quantile(1.0), 31.0);
+  telemetry::HdrHistogram fives;
+  for (int i = 0; i < 10; ++i) fives.record(5);
+  for (const double q : {0.0, 0.5, 1.0}) {
+    EXPECT_EQ(fives.quantile(q), 5.0) << "q=" << q;
+  }
   // Negative samples clamp to zero instead of indexing garbage.
   hist.record(-5);
   EXPECT_EQ(hist.count(), 33u);
@@ -261,33 +295,62 @@ TEST(HdrHistogram, BucketGeometryBoundsRelativeError) {
   }
 }
 
-TEST(HdrHistogram, QuantilesTrackExactAndBeatLog2) {
-  // One stream, three consumers: an exact sorted reference, the new HDR
-  // histogram, and the coarse Log2Histogram.  HDR must land within one
-  // sub-bucket of the exact value; Log2 only within its octave.
+TEST(HdrHistogram, QuantilesTrackExact) {
+  // One stream, two consumers: an exact sorted reference and the HDR
+  // histogram, which must land within one sub-bucket of the exact value.
   Xoshiro256 rng{0xD15C0};
   telemetry::HdrHistogram hdr;
-  Log2Histogram log2;
   std::vector<std::uint64_t> values;
   for (int i = 0; i < 20'000; ++i) {
     // Span several octaves, as real latencies do.
     const std::uint64_t v = 1000 + rng.next_below(1u << 20);
     values.push_back(v);
     hdr.record(static_cast<std::int64_t>(v));
-    log2.record(v);
   }
   std::sort(values.begin(), values.end());
   for (const double q : {0.5, 0.9, 0.99, 0.999}) {
     const double exact = static_cast<double>(
         values[static_cast<std::size_t>(
             q * static_cast<double>(values.size() - 1))]);
-    const double hdr_q = hdr.quantile(q);
     // Within one sub-bucket (~1/16 of the value) plus interpolation slop.
-    EXPECT_NEAR(hdr_q, exact, exact / 8.0 + 2.0) << "q=" << q;
-    const double log2_q = log2.quantile(q);
-    EXPECT_GE(log2_q, exact / 2.0) << "q=" << q;
-    EXPECT_LE(log2_q, exact * 2.0 + 2.0) << "q=" << q;
+    EXPECT_NEAR(hdr.quantile(q), exact, exact / 8.0 + 2.0) << "q=" << q;
   }
+}
+
+TEST(HdrHistogram, QuantileOfAllZerosIsZero) {
+  // Bucket 0 holds only the value 0; no quantile of it may interpolate
+  // to a fractional value.
+  telemetry::HdrHistogram hist;
+  for (int i = 0; i < 7; ++i) hist.record(0);
+  EXPECT_EQ(hist.quantile(0.0), 0.0);
+  EXPECT_EQ(hist.quantile(0.5), 0.0);
+  EXPECT_EQ(hist.quantile(1.0), 0.0);
+}
+
+TEST(HdrHistogram, QuantileExtremesAreFiniteBucketBounds) {
+  telemetry::HdrHistogram hist;
+  for (int i = 0; i < 10; ++i) hist.record(100);  // bucket [100, 102)
+  // q=0 is the floor of the first non-empty bucket; the top bucket's
+  // interpolation is clipped at max_value() + 1, never its full width.
+  EXPECT_EQ(hist.max_value(), 100u);
+  EXPECT_EQ(hist.quantile(0.0), 100.0);
+  EXPECT_EQ(hist.quantile(0.5), 100.5);
+  EXPECT_LE(hist.quantile(1.0), 101.0);
+}
+
+TEST(HdrHistogram, QuantileMixedZeroAndLarge) {
+  telemetry::HdrHistogram hist;
+  for (int i = 0; i < 50; ++i) hist.record(0);
+  for (int i = 0; i < 50; ++i) hist.record(1'000'000);
+  const std::size_t index = telemetry::HdrHistogram::index_of(1'000'000);
+  const auto floor =
+      static_cast<double>(telemetry::HdrHistogram::bucket_floor(index));
+  EXPECT_EQ(hist.quantile(0.25), 0.0);
+  EXPECT_EQ(hist.quantile(0.5), 0.0);
+  const double p99 = hist.quantile(0.99);
+  EXPECT_GE(p99, floor);
+  EXPECT_LE(p99, 1'000'000.0);
+  EXPECT_LE(hist.quantile(1.0), 1'000'001.0);
 }
 
 TEST(HdrHistogram, MergeMatchesSinglePassAndResetClears) {
@@ -376,23 +439,31 @@ TEST(LatencyTracker, DiscardsIncompleteJourneys) {
 TEST(Export, MetricsJsonIsValidAndCsvHasHeader) {
   telemetry::Telemetry tel;
   tel.registry.counter("a.count").add(7);
-  tel.registry.gauge("b.depth").set(2.5);
-  auto hist = tel.registry.histogram("c.latency");
-  for (std::uint64_t v = 1; v <= 100; ++v) hist.record(v);
-  auto summary = tel.registry.summary("d.summary");
-  summary.record(1.0);
-  summary.record(2.0);
-  auto series = tel.registry.series("e.series", Nanos::from_millis(10));
+  tel.registry.bind_gauge("b.depth", [] { return 2.5; });
+  BinnedSeries series{Nanos::from_millis(10)};
   series.record(Nanos::from_millis(5), 3);
+  series.record(Nanos::from_millis(25), 1);
+  tel.registry.bind_series("c.series", &series);
+  tel.registry.bind_series("d.unbound", nullptr);
 
   const std::string json = telemetry::metrics_to_json(tel.registry);
   EXPECT_TRUE(JsonChecker{json}.valid()) << json;
-  EXPECT_NE(json.find("\"schema\":\"wirecap.metrics.v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"a.count\""), std::string::npos);
+  EXPECT_EQ(json,
+            "{\"schema\":\"wirecap.metrics.v1\",\"metrics\":["
+            "{\"name\":\"a.count\",\"kind\":\"counter\",\"value\":7},"
+            "{\"name\":\"b.depth\",\"kind\":\"gauge\",\"value\":2.5},"
+            "{\"name\":\"c.series\",\"kind\":\"series\","
+            "\"bin_width_ns\":10000000,\"total\":4,\"peak\":3,"
+            "\"bins\":[3,0,1]},"
+            "{\"name\":\"d.unbound\",\"kind\":\"series\",\"total\":0}]}\n");
 
   const std::string csv = telemetry::metrics_to_csv(tel.registry);
-  EXPECT_EQ(csv.rfind("name,kind,count,value,p50,p90,p99,min,max,mean\n", 0),
-            0u);
+  EXPECT_EQ(csv,
+            "name,kind,count,value,p50,p90,p99,min,max,mean\n"
+            "a.count,counter,,7,,,,,,\n"
+            "b.depth,gauge,,2.5,,,,,,\n"
+            "c.series,series,4,,,,,,3,1.33333333\n"
+            "d.unbound,series,0,,,,,,0,0\n");
 }
 
 TEST(Export, TraceJsonIsValidChromeTrace) {
