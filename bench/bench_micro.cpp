@@ -138,6 +138,20 @@ void BM_BuildFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildFrame);
 
+void BM_WirePacketMake(benchmark::State& state) {
+  const net::FlowKey flow{net::Ipv4Addr{10, 1, 1, 1},
+                          net::Ipv4Addr{10, 2, 2, 2}, 1000, 80,
+                          net::IpProto::kTcp};
+  const auto wire_len = static_cast<std::uint32_t>(state.range(0));
+  std::uint16_t ip_id = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        net::WirePacket::make(Nanos{0}, flow, wire_len, 0, ip_id++));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WirePacketMake)->Arg(64)->Arg(1518);
+
 void BM_SchedulerEventChurn(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();

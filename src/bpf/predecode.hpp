@@ -13,10 +13,10 @@
 // run_batch() filters a whole engines::PacketBatch in one pass — the
 // batch-granularity analogue of calling bpf::matches() per packet.
 //
-// Semantics are pinned to the reference interpreter: in debug builds
-// every execution is cross-checked against bpf::run() (abort on
-// divergence), and the PR 4 differential oracle exercises the pair over
-// the seeded filter × frame corpus.
+// Semantics are pinned to the reference interpreter by the differential
+// oracle (src/testing/difftest), which runs the pair over the seeded
+// filter × frame corpus.  The class layout is the same in every build
+// mode, so debug and release translation units can share it.
 #pragma once
 
 #include <cstddef>
@@ -134,9 +134,6 @@ class Predecoded {
   /// Whether exec() must clear the scratch slots: false when the
   /// program never loads from M[], which makes stores unobservable too.
   bool zero_mem_ = false;
-#ifndef NDEBUG
-  Program source_;  // debug-build parity oracle against bpf::run()
-#endif
 };
 
 }  // namespace wirecap::bpf

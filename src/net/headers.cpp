@@ -294,9 +294,14 @@ void write_udp(std::span<std::byte> l4, const UdpHeader& header) {
   write_be16(l4, 6, 0);  // checksum optional for IPv4
 }
 
-void write_tcp(std::span<std::byte> l4, const TcpHeader& header,
-               Ipv4Addr src_ip, Ipv4Addr dst_ip,
-               std::span<const std::byte> payload) {
+namespace {
+
+// Writes a TCP header whose checksum covers the IPv4 pseudo-header for a
+// `tcp_len`-byte segment, the header, and `payload_sum` (the
+// checksum_partial of the payload, which starts on a word boundary).
+void write_tcp_summed(std::span<std::byte> l4, const TcpHeader& header,
+                      Ipv4Addr src_ip, Ipv4Addr dst_ip, std::size_t tcp_len,
+                      std::uint64_t payload_sum) {
   if (l4.size() < kTcpMinHeaderLen) {
     throw std::invalid_argument("write_tcp: buffer too small");
   }
@@ -316,20 +321,27 @@ void write_tcp(std::span<std::byte> l4, const TcpHeader& header,
   write_be32(pseudo, 4, dst_ip.value());
   write_u8(pseudo, 8, 0);
   write_u8(pseudo, 9, static_cast<std::uint8_t>(IpProto::kTcp));
-  const auto tcp_len =
-      static_cast<std::uint16_t>(kTcpMinHeaderLen + payload.size());
-  write_be16(pseudo, 10, tcp_len);
+  write_be16(pseudo, 10, static_cast<std::uint16_t>(tcp_len));
 
-  std::uint64_t sum = checksum_partial(pseudo);
+  std::uint64_t sum = checksum_partial(pseudo, payload_sum);
   sum = checksum_partial(l4.first(kTcpMinHeaderLen), sum);
-  sum = checksum_partial(payload, sum);
   write_be16(l4, 16, finish_checksum(sum));
+}
+
+}  // namespace
+
+void write_tcp(std::span<std::byte> l4, const TcpHeader& header,
+               Ipv4Addr src_ip, Ipv4Addr dst_ip,
+               std::span<const std::byte> payload) {
+  write_tcp_summed(l4, header, src_ip, dst_ip,
+                   kTcpMinHeaderLen + payload.size(),
+                   checksum_partial(payload));
 }
 
 std::size_t min_frame_len(IpProto proto) {
   const std::size_t l4 = proto == IpProto::kTcp ? kTcpMinHeaderLen
                          : proto == IpProto::kUdp ? kUdpHeaderLen
-                                                  : 8;
+                                                  : kIcmpHeaderLen;
   return kEthernetHeaderLen + kIpv4MinHeaderLen + l4;
 }
 
@@ -340,11 +352,11 @@ std::size_t build_frame(std::span<std::byte> out, const FlowKey& flow,
   if (frame_len < minimum) {
     throw std::invalid_argument("build_frame: frame_len below header minimum");
   }
-  if (out.size() < frame_len) {
+  if (out.size() < minimum) {
     throw std::invalid_argument("build_frame: output buffer too small");
   }
-  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(frame_len),
-            std::byte{0});
+  out = out.first(std::min(out.size(), frame_len));
+  std::fill(out.begin(), out.end(), std::byte{0});
 
   write_ethernet(out, EthernetHeader{dst_mac, src_mac, kEtherTypeIpv4});
 
@@ -357,6 +369,9 @@ std::size_t build_frame(std::span<std::byte> out, const FlowKey& flow,
   ip.dst = flow.dst_ip;
   write_ipv4(l3, ip);
 
+  // The payload is all zeros, and zero words add nothing to an RFC 1071
+  // sum: the L4 checksums cover the headers alone, so the payload need
+  // not be materialized.
   auto l4 = l3.subspan(kIpv4MinHeaderLen);
   const std::size_t l4_len = frame_len - kEthernetHeaderLen - kIpv4MinHeaderLen;
   switch (flow.proto) {
@@ -372,8 +387,7 @@ std::size_t build_frame(std::span<std::byte> out, const FlowKey& flow,
       TcpHeader tcp;
       tcp.src_port = flow.src_port;
       tcp.dst_port = flow.dst_port;
-      const auto payload = l4.subspan(kTcpMinHeaderLen, l4_len - kTcpMinHeaderLen);
-      write_tcp(l4, tcp, flow.src_ip, flow.dst_ip, payload);
+      write_tcp_summed(l4, tcp, flow.src_ip, flow.dst_ip, l4_len, 0);
       break;
     }
     case IpProto::kIcmp:
@@ -381,10 +395,10 @@ std::size_t build_frame(std::span<std::byte> out, const FlowKey& flow,
       // then correct checksum.
       write_u8(l4, 0, 8);
       write_u8(l4, 1, 0);
-      write_be16(l4, 2, internet_checksum(l4.first(l4_len)));
+      write_be16(l4, 2, internet_checksum(l4.first(kIcmpHeaderLen)));
       break;
   }
-  return frame_len;
+  return out.size();
 }
 
 std::size_t build_vlan_frame(std::span<std::byte> out, const FlowKey& flow,

@@ -36,6 +36,7 @@ inline constexpr std::size_t kIpv4MinHeaderLen = 20;
 inline constexpr std::size_t kIpv6HeaderLen = 40;
 inline constexpr std::size_t kUdpHeaderLen = 8;
 inline constexpr std::size_t kTcpMinHeaderLen = 20;
+inline constexpr std::size_t kIcmpHeaderLen = 8;
 
 struct EthernetHeader {
   MacAddr dst;
@@ -165,9 +166,12 @@ void write_tcp(std::span<std::byte> l4, const TcpHeader& header,
                Ipv4Addr src_ip, Ipv4Addr dst_ip,
                std::span<const std::byte> payload);
 
-/// Builds a complete Ethernet/IPv4/{UDP,TCP} frame of exactly
-/// `frame_len` bytes (>= minimum for the protocol; zero-padded payload)
-/// into `out`, returning the bytes written.  frame_len excludes the FCS.
+/// Builds an Ethernet/IPv4/{UDP,TCP,ICMP} frame of `frame_len` bytes
+/// (>= min_frame_len; zero payload) into `out`, returning the bytes
+/// written.  frame_len excludes the FCS.  An `out` shorter than
+/// frame_len receives the frame's prefix: only min(out.size(), frame_len)
+/// bytes are written, while the length fields and checksums are those of
+/// the full frame.  `out` must hold at least the headers.
 std::size_t build_frame(std::span<std::byte> out, const FlowKey& flow,
                         std::size_t frame_len, MacAddr src_mac, MacAddr dst_mac,
                         std::uint16_t ip_id = 0);

@@ -22,18 +22,10 @@ WirePacket WirePacket::make(Nanos timestamp, const FlowKey& flow,
   pkt.seq_ = seq;
   pkt.flow_ = flow;
 
-  // Build the full header region.  If the materialized prefix is shorter
-  // than the frame, build into a scratch buffer and copy the prefix; the
-  // IP total_length field still reflects the true wire length.
-  if (pkt.wire_len_ <= kSnapBytes) {
-    build_frame({pkt.data_.data(), pkt.data_.size()}, flow, pkt.wire_len_,
-                kDefaultSrcMac, kDefaultDstMac, ip_id);
-  } else {
-    std::array<std::byte, 2048> scratch{};
-    build_frame(scratch, flow, pkt.wire_len_, kDefaultSrcMac, kDefaultDstMac,
-                ip_id);
-    std::copy_n(scratch.begin(), kSnapBytes, pkt.data_.begin());
-  }
+  // Only the first kSnapBytes are materialized; the IP total_length and
+  // the checksums still reflect the true wire length.
+  build_frame(pkt.data_, flow, pkt.wire_len_, kDefaultSrcMac, kDefaultDstMac,
+              ip_id);
   return pkt;
 }
 

@@ -23,8 +23,10 @@ inline constexpr std::array<std::uint8_t, 40> kDefaultRssKey = {
     0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30,
     0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa};
 
-/// Computes the Toeplitz hash of `input` under `key`.  `input` is the
-/// concatenated big-endian tuple fields.
+/// Computes the Toeplitz hash of `input` under `key`, bit by bit.  `input`
+/// is the concatenated big-endian tuple fields.  This is the definition:
+/// rss_hash and rss_hash_ipv6 compute the same value from a byte table
+/// under kDefaultRssKey and call it for any other key.
 [[nodiscard]] std::uint32_t toeplitz_hash(std::span<const std::uint8_t> input,
                                           std::span<const std::uint8_t> key);
 

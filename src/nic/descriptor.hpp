@@ -62,7 +62,6 @@ struct TxRequest {
   std::span<const std::byte> frame{};
   std::uint32_t wire_length = 0;
   std::uint64_t seq = 0;
-  net::FlowKey flow{};
   std::function<void()> on_complete{};
 };
 

@@ -25,18 +25,10 @@ bool RxRing::attach(DmaBuffer buffer) {
   return true;
 }
 
-bool RxRing::has_filled() const {
-  return consume_ < dma_ &&
-         descriptors_[wrap(consume_)].state == RxDescState::kFilled;
-}
+bool RxRing::has_filled() const { return consume_ < filled_end_; }
 
 std::uint32_t RxRing::filled_count() const {
-  std::uint32_t count = 0;
-  for (std::uint64_t c = consume_; c < dma_; ++c) {
-    if (descriptors_[wrap(c)].state != RxDescState::kFilled) break;
-    ++count;
-  }
-  return count;
+  return static_cast<std::uint32_t>(filled_end_ - consume_);
 }
 
 RxRing::Consumed RxRing::consume() {
@@ -70,7 +62,7 @@ void RxRing::reset() {
     throw std::logic_error("RxRing::reset: DMA in flight");
   }
   for (RxDescriptor& desc : descriptors_) desc = RxDescriptor{};
-  attach_ = dma_ = consume_ = 0;
+  attach_ = dma_ = filled_end_ = consume_ = 0;
 }
 
 bool RxRing::can_receive() const {
@@ -95,6 +87,12 @@ void RxRing::complete_dma(std::uint32_t index, const RxWriteback& writeback) {
   }
   desc.state = RxDescState::kFilled;
   desc.writeback = writeback;
+  // Completions may land out of order; the filled prefix grows only when
+  // the descriptor at its end fills.
+  while (filled_end_ < dma_ &&
+         descriptors_[wrap(filled_end_)].state == RxDescState::kFilled) {
+    ++filled_end_;
+  }
 }
 
 std::uint32_t RxRing::ready_count() const {

@@ -35,12 +35,11 @@ class RxRing {
   /// Returns false when no empty slot is available.
   bool attach(DmaBuffer buffer);
 
-  /// Index of the next filled descriptor awaiting consumption, or
-  /// negative if none.  DMA completes in FIFO order, so filled
-  /// descriptors are always contiguous from the consume cursor.
+  /// True when the descriptor at the consume cursor is filled.
   [[nodiscard]] bool has_filled() const;
 
   /// Number of contiguous filled descriptors from the consume cursor.
+  /// O(1): complete_dma keeps the end of that run as a cursor.
   [[nodiscard]] std::uint32_t filled_count() const;
 
   /// Consumes the filled descriptor at the consume cursor: returns its
@@ -99,10 +98,13 @@ class RxRing {
   }
 
   std::vector<RxDescriptor> descriptors_;
-  // Unwrapped (monotone) cursors; invariant consume_ <= dma_ <= attach_
-  // <= consume_ + size().
+  // Unwrapped (monotone) cursors; invariant consume_ <= filled_end_ <=
+  // dma_ <= attach_ <= consume_ + size().  Every descriptor in
+  // [consume_, filled_end_) is filled, and the one at filled_end_ (if
+  // below dma_) is still in flight.
   std::uint64_t attach_ = 0;
   std::uint64_t dma_ = 0;
+  std::uint64_t filled_end_ = 0;
   std::uint64_t consume_ = 0;
 };
 

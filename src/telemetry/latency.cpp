@@ -41,7 +41,9 @@ double HdrHistogram::quantile(double q) const {
       const double hi =
           std::min(lo + static_cast<double>(bucket_width(i)),
                    static_cast<double>(max_) + 1.0);
-      return lo + within * std::max(0.0, hi - lo);
+      // No quantile exceeds the largest recorded value.
+      return std::min(lo + within * std::max(0.0, hi - lo),
+                      static_cast<double>(max_));
     }
     cumulative = next;
   }

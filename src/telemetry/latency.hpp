@@ -61,7 +61,8 @@ class HdrHistogram {
 
   /// Value at quantile q in [0, 1]: exact below 32, otherwise
   /// interpolated within the bucket, whose top is clipped at
-  /// max_value() + 1.  Returns 0 on an empty histogram.
+  /// max_value() + 1, and never above max_value().  Returns 0 on an
+  /// empty histogram.
   [[nodiscard]] double quantile(double q) const;
 
   void merge(const HdrHistogram& other);

@@ -3,6 +3,7 @@
 // vectors), packets, and pcap file I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
@@ -209,6 +210,58 @@ TEST(Rss, SpreadsFlowsAcrossQueues) {
   for (const int c : counts) EXPECT_GT(c, 500);
 }
 
+TEST(Rss, ByteTableMatchesBitSerialToeplitz) {
+  // rss_hash / rss_hash_ipv6 hash the default key by table lookup; the
+  // bit-serial toeplitz_hash is the definition.  Cover every input length
+  // the NIC hashes: 8 (IPv4 addresses), 12 (IPv4 + ports), 32 (IPv6
+  // addresses) and 36 (IPv6 + ports) bytes.
+  Xoshiro256 rng{0x7AB1E};
+  const auto byte = [&] { return static_cast<std::uint8_t>(rng.next()); };
+  for (int i = 0; i < 10'000; ++i) {
+    std::array<std::uint8_t, 12> v4{};
+    for (auto& b : v4) b = byte();
+    const auto be32 = [&](std::size_t off) {
+      return (std::uint32_t{v4[off]} << 24) | (std::uint32_t{v4[off + 1]} << 16) |
+             (std::uint32_t{v4[off + 2]} << 8) | std::uint32_t{v4[off + 3]};
+    };
+    FlowKey flow{Ipv4Addr{be32(0)}, Ipv4Addr{be32(4)},
+                 static_cast<std::uint16_t>((v4[8] << 8) | v4[9]),
+                 static_cast<std::uint16_t>((v4[10] << 8) | v4[11]),
+                 IpProto::kTcp};
+    ASSERT_EQ(rss_hash(flow), toeplitz_hash(v4, kDefaultRssKey));
+    flow.proto = IpProto::kIcmp;
+    ASSERT_EQ(rss_hash(flow),
+              toeplitz_hash(std::span{v4}.first(8), kDefaultRssKey));
+
+    std::array<std::uint8_t, 36> v6{};
+    for (auto& b : v6) b = byte();
+    Ipv6Addr src;
+    Ipv6Addr dst;
+    std::copy_n(v6.begin(), 16, src.octets.begin());
+    std::copy_n(v6.begin() + 16, 16, dst.octets.begin());
+    const auto src_port = static_cast<std::uint16_t>((v6[32] << 8) | v6[33]);
+    const auto dst_port = static_cast<std::uint16_t>((v6[34] << 8) | v6[35]);
+    ASSERT_EQ(rss_hash_ipv6(src, dst, src_port, dst_port),
+              toeplitz_hash(v6, kDefaultRssKey));
+    ASSERT_EQ(rss_hash_ipv6(src, dst, 0, 0, false),
+              toeplitz_hash(std::span{v6}.first(32), kDefaultRssKey));
+  }
+}
+
+TEST(Rss, OtherKeysUseTheBitSerialHash) {
+  // A copy of the default key hashes the same; a different key differs.
+  const std::array<std::uint8_t, 40> copy = kDefaultRssKey;
+  std::array<std::uint8_t, 40> other = kDefaultRssKey;
+  other[5] ^= 0x10;
+  const FlowKey flow{Ipv4Addr{66, 9, 149, 187}, Ipv4Addr{161, 142, 100, 80},
+                     2794, 1766, IpProto::kTcp};
+  EXPECT_EQ(rss_hash(flow, copy), 0x51ccc178u);
+  EXPECT_NE(rss_hash(flow, other), 0x51ccc178u);
+  std::array<std::uint8_t, 12> input{66, 9, 149, 187, 161, 142, 100, 80,
+                                     0x0A, 0xEA, 0x06, 0xE6};
+  EXPECT_EQ(rss_hash(flow, other), toeplitz_hash(input, other));
+}
+
 TEST(WirePacket, MaterializesRealFrame) {
   FlowKey flow{Ipv4Addr{131, 225, 2, 1}, Ipv4Addr{10, 1, 1, 1}, 5000, 80,
                IpProto::kTcp};
@@ -233,6 +286,59 @@ TEST(WirePacket, LargeFrameSnapsHeaders) {
   const auto ip = parse_ipv4(pkt.bytes().subspan(14));
   ASSERT_TRUE(ip.has_value());
   EXPECT_EQ(ip->total_length, 1518 - 14);
+}
+
+TEST(WirePacket, MakeEqualsPrefixOfFullFrame) {
+  // make() builds only the kSnapBytes prefix; it must equal the head of
+  // the same frame built in full.
+  const MacAddr src_mac = MacAddr::of(0x02, 0x57, 0x43, 0x41, 0x50, 0x01);
+  const MacAddr dst_mac = MacAddr::of(0x02, 0x57, 0x43, 0x41, 0x50, 0x02);
+  for (const IpProto proto : {IpProto::kTcp, IpProto::kUdp, IpProto::kIcmp}) {
+    const bool ports = proto != IpProto::kIcmp;
+    const FlowKey flow{Ipv4Addr{131, 225, 2, 7}, Ipv4Addr{10, 9, 8, 7},
+                       static_cast<std::uint16_t>(ports ? 40001 : 0),
+                       static_cast<std::uint16_t>(ports ? 443 : 0), proto};
+    for (std::size_t len = min_frame_len(proto); len <= 1518; ++len) {
+      for (const std::uint16_t ip_id :
+           std::initializer_list<std::uint16_t>{0, 1, 0x1234, 0xFFFF}) {
+        std::array<std::byte, 2048> full{};
+        ASSERT_EQ(build_frame(full, flow, len, src_mac, dst_mac, ip_id), len);
+        const auto pkt = WirePacket::make(Nanos{0}, flow,
+                                          static_cast<std::uint32_t>(len), 0,
+                                          ip_id);
+        const auto prefix = std::span<const std::byte>{full}.first(
+            std::min(len, WirePacket::kSnapBytes));
+        ASSERT_TRUE(std::ranges::equal(pkt.bytes(), prefix))
+            << "proto " << static_cast<int>(proto) << " len " << len
+            << " ip_id " << ip_id;
+      }
+    }
+  }
+}
+
+TEST(Headers, BuildFrameWritesOnlyThePrefix) {
+  const FlowKey flow{Ipv4Addr{10, 0, 0, 1}, Ipv4Addr{10, 0, 0, 2}, 5, 6,
+                     IpProto::kTcp};
+  std::array<std::byte, 2048> full{};
+  build_frame(full, flow, 1000, MacAddr{}, MacAddr{});
+  std::array<std::byte, 80> buf{};
+  buf.fill(std::byte{0xAA});
+  EXPECT_EQ(build_frame(std::span<std::byte>{buf}.first(64), flow, 1000,
+                        MacAddr{}, MacAddr{}),
+            64u);
+  EXPECT_TRUE(std::ranges::equal(std::span{buf}.first(64),
+                                 std::span{full}.first(64)));
+  for (std::size_t i = 64; i < buf.size(); ++i) {
+    EXPECT_EQ(buf[i], std::byte{0xAA}) << i;
+  }
+  // A frame shorter than the buffer is written whole and no further.
+  buf.fill(std::byte{0xAA});
+  EXPECT_EQ(build_frame(buf, flow, 60, MacAddr{}, MacAddr{}), 60u);
+  EXPECT_EQ(buf[60], std::byte{0xAA});
+  // The headers must fit.
+  EXPECT_THROW(build_frame(std::span<std::byte>{buf}.first(53), flow, 1000,
+                           MacAddr{}, MacAddr{}),
+               std::invalid_argument);
 }
 
 TEST(WirePacket, MinimumSizeEnforced) {

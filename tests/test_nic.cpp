@@ -103,6 +103,66 @@ TEST_F(RxRingTest, MisuseThrows) {
   EXPECT_THROW(ring_.attach(DmaBuffer{}), std::invalid_argument);
 }
 
+TEST(RxRing, FilledCountMatchesScanUnderOutOfOrderCompletion) {
+  // Random attach / begin / complete (any in-flight order) / consume /
+  // reset traffic; after every step filled_count() must equal a scan of
+  // the contiguous filled run from the consume cursor.
+  constexpr std::uint32_t kSize = 8;
+  RxRing ring{kSize};
+  std::vector<std::byte> memory(kSize * 64);
+  std::vector<std::uint32_t> in_flight;
+  std::uint32_t consume_index = 0;
+  std::uint64_t next_cookie = 0;
+  Xoshiro256 rng{0xF111ED};
+
+  const auto scan = [&] {
+    std::uint32_t count = 0;
+    while (count < kSize &&
+           ring.state_at((consume_index + count) % kSize) ==
+               RxDescState::kFilled) {
+      ++count;
+    }
+    return count;
+  };
+
+  for (int step = 0; step < 20'000; ++step) {
+    switch (rng.next_below(5)) {
+      case 0: {
+        const std::uint64_t cell = next_cookie++ % kSize;
+        ring.attach(DmaBuffer{{memory.data() + cell * 64, 64}, cell});
+        break;
+      }
+      case 1:
+        if (ring.can_receive()) in_flight.push_back(ring.begin_dma());
+        break;
+      case 2:
+        if (!in_flight.empty()) {
+          const auto pick = static_cast<std::ptrdiff_t>(
+              rng.next_below(in_flight.size()));
+          ring.complete_dma(in_flight[static_cast<std::size_t>(pick)],
+                            RxWriteback{});
+          in_flight.erase(in_flight.begin() + pick);
+        }
+        break;
+      case 3:
+        if (ring.has_filled()) {
+          ring.consume();
+          consume_index = (consume_index + 1) % kSize;
+        }
+        break;
+      case 4:
+        if (in_flight.empty() && rng.next_below(8) == 0) {
+          ring.reset();
+          consume_index = 0;
+        }
+        break;
+    }
+    const std::uint32_t expected = scan();
+    ASSERT_EQ(ring.filled_count(), expected) << "step " << step;
+    ASSERT_EQ(ring.has_filled(), expected > 0) << "step " << step;
+  }
+}
+
 // --- steering ---
 
 TEST(Steering, RssIsPerFlowStable) {

@@ -331,11 +331,27 @@ TEST(HdrHistogram, QuantileExtremesAreFiniteBucketBounds) {
   telemetry::HdrHistogram hist;
   for (int i = 0; i < 10; ++i) hist.record(100);  // bucket [100, 102)
   // q=0 is the floor of the first non-empty bucket; the top bucket's
-  // interpolation is clipped at max_value() + 1, never its full width.
+  // interpolation never runs past max_value(), let alone its full width.
   EXPECT_EQ(hist.max_value(), 100u);
   EXPECT_EQ(hist.quantile(0.0), 100.0);
-  EXPECT_EQ(hist.quantile(0.5), 100.5);
-  EXPECT_LE(hist.quantile(1.0), 101.0);
+  EXPECT_EQ(hist.quantile(0.5), 100.0);
+}
+
+TEST(HdrHistogram, QuantileNeverExceedsMaxValue) {
+  telemetry::HdrHistogram hundreds;
+  for (int i = 0; i < 10; ++i) hundreds.record(100);
+  EXPECT_EQ(hundreds.quantile(0.99), 100.0);
+  EXPECT_EQ(hundreds.quantile(1.0), 100.0);
+
+  Xoshiro256 rng{0x3A7};
+  telemetry::HdrHistogram hist;
+  for (int i = 0; i < 1000; ++i) {
+    hist.record(static_cast<std::int64_t>(rng.next_below(1u << 16)));
+    const auto max = static_cast<double>(hist.max_value());
+    for (const double q : {0.5, 0.9, 0.99, 0.999, 1.0}) {
+      ASSERT_LE(hist.quantile(q), max) << "q=" << q << " after " << i + 1;
+    }
+  }
 }
 
 TEST(HdrHistogram, QuantileMixedZeroAndLarge) {
@@ -350,7 +366,7 @@ TEST(HdrHistogram, QuantileMixedZeroAndLarge) {
   const double p99 = hist.quantile(0.99);
   EXPECT_GE(p99, floor);
   EXPECT_LE(p99, 1'000'000.0);
-  EXPECT_LE(hist.quantile(1.0), 1'000'001.0);
+  EXPECT_EQ(hist.quantile(1.0), 1'000'000.0);
 }
 
 TEST(HdrHistogram, MergeMatchesSinglePassAndResetClears) {
